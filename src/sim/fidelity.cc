@@ -81,10 +81,6 @@ struct FidelityEstimator::ShotAccumulator
     std::complex<double> fullOverlap{0.0, 0.0};
     std::unordered_map<BitVec, Group, BitVecHash> groups;
 
-    /** Reused by ancillaPartInto so the per-path group lookups of a
-     *  shot never allocate (one sizing copy per shot at most). */
-    BitVec ancScratch;
-
     ShotAccumulator() { groups.reserve(8); }
 
     double full() const { return std::norm(fullOverlap); }
@@ -244,7 +240,7 @@ FidelityEstimator::FidelityEstimator(
     // real shot whose every path lands on its ideal output.
     ShotAccumulator acc;
     for (std::size_t k = 0; k < input.size(); ++k)
-        accumulatePath(acc, k, ideals[k].bits, ideals[k].phase);
+        accumulateIdealPath(acc, k, ideals[k].phase);
     emptyFull = acc.full();
     emptyReduced = acc.reduced();
 }
@@ -268,14 +264,6 @@ FidelityEstimator::ancillaPart(const BitVec &bits) const
     return a;
 }
 
-void
-FidelityEstimator::ancillaPartInto(const BitVec &bits, BitVec &out) const
-{
-    out = bits; // copy-assign reuses the scratch's capacity
-    for (std::size_t w = 0; w < visMaskWords.size(); ++w)
-        out.andWord(w, ~visMaskWords[w]);
-}
-
 bool
 FidelityEstimator::idealBus(std::size_t k) const
 {
@@ -284,44 +272,25 @@ FidelityEstimator::idealBus(std::size_t k) const
 
 void
 FidelityEstimator::accumulatePath(ShotAccumulator &acc, std::size_t k,
-                                  const BitVec &outBits,
+                                  BitVec &outBits,
                                   std::complex<double> outPhase) const
-{
-    accumulatePathKeyed(acc, k, outBits, visibleKey(outBits), outPhase);
-}
-
-void
-FidelityEstimator::accumulatePathKeyed(
-    ShotAccumulator &acc, std::size_t k, const BitVec &outBits,
-    std::uint64_t key, std::complex<double> outPhase) const
 {
     // A path that landed on its ideal output takes the precomputed
     // route (same arithmetic, same group key and owner — the map
-    // population sequence is unchanged); anything else is a
-    // deviating path.
-    if (outBits == ideals[k].bits)
+    // population sequence is unchanged); a deviating path contributes
+    // only if its visible key hits some ideal key.
+    if (outBits == ideals[k].bits) {
         accumulateIdealPath(acc, k, outPhase);
-    else
-        accumulateDeviatingPath(acc, k, outBits, key, outPhase);
-}
-
-void
-FidelityEstimator::accumulateDeviatingPath(
-    ShotAccumulator &acc, std::size_t k, const BitVec &outBits,
-    std::uint64_t key, std::complex<double> outPhase) const
-{
-    // Caller guarantees outBits != ideals[k].bits (a set deviation
-    // bit means some row differs), so the self-overlap branch of the
-    // general accumulation is skipped outright.
-    const auto it = visIndex.find(key);
-    if (it == visIndex.end())
         return;
-    accumulateVisiblePath(acc, k, outBits, it->second, outPhase);
+    }
+    const auto it = visIndex.find(visibleKey(outBits));
+    if (it != visIndex.end())
+        accumulateVisiblePath(acc, k, outBits, it->second, outPhase);
 }
 
 void
 FidelityEstimator::accumulateVisiblePath(
-    ShotAccumulator &acc, std::size_t k, const BitVec &outBits,
+    ShotAccumulator &acc, std::size_t k, BitVec &outBits,
     std::size_t owner, std::complex<double> outPhase) const
 {
     // Full-state overlap: the noisy output contributes iff it lands
@@ -348,17 +317,14 @@ FidelityEstimator::accumulateVisiblePath(
 
     // Reduced overlap: group by ancilla configuration; within a
     // group, the visible component projects onto psi_ideal. The
-    // ancilla key lands in the accumulator's scratch so per-path
-    // lookups never allocate; find-then-emplace inserts exactly the
-    // keys (in exactly the order) operator[] would, keeping the
-    // group iteration — and thus summation — order unchanged.
-    ancillaPartInto(outBits, acc.ancScratch);
-    auto git = acc.groups.find(acc.ancScratch);
-    if (git == acc.groups.end())
-        git = acc.groups
-                  .emplace(acc.ancScratch, ShotAccumulator::Group{})
-                  .first;
-    git->second.sum +=
+    // output becomes its own ancilla key (visible bits cleared in
+    // place), and try_emplace hashes it once, inserting exactly the
+    // keys (in exactly the order) operator[] would — the group
+    // iteration, and thus summation, order is unchanged.
+    std::uint64_t *ow = outBits.wordData();
+    for (std::size_t w = 0; w < visMaskWords.size(); ++w)
+        ow[w] &= ~visMaskWords[w];
+    acc.groups.try_emplace(outBits).first->second.sum +=
         std::conj(input.amps[owner]) * input.amps[k] * outPhase;
 }
 
@@ -423,6 +389,7 @@ FidelityEstimator::shotZOnly(const FlatRealization &errors,
 
 void
 FidelityEstimator::accumulateEnsembleShot(ShotWorkspace &ws,
+                                          AccumulateScratch &as,
                                           ShotAccumulator &acc) const
 {
     const simd::RowKernels &K = simd::activeKernels();
@@ -443,24 +410,23 @@ FidelityEstimator::accumulateEnsembleShot(ShotWorkspace &ws,
     }
 
     accumulateShotRows(noisy, pathWords, ws.ens.phaseData(),
-                       ws.dev.data(), ws.devRows, ws, acc);
+                       ws.dev.data(), ws.devRows, as, acc);
 }
 
 void
 FidelityEstimator::accumulateShotRows(
     const std::uint64_t *rows, std::size_t stride,
     const std::complex<double> *phases, const std::uint64_t *dev,
-    const std::vector<std::uint32_t> &devRows, ShotWorkspace &ws,
+    const std::vector<std::uint32_t> &devRows, AccumulateScratch &as,
     ShotAccumulator &acc) const
 {
-    const std::size_t nq = exec.circuit().numQubits();
     const std::uint64_t *ideal = idealEns.rowData();
 
     // Visible keys by word transpose of the visible rows only
     // (address bits + bus; <= 64 rows), and only for words that hold
     // a deviating path — non-deviating paths never read a key.
     if (!devRows.empty()) {
-        ws.keys.assign(input.size(), 0);
+        as.keys.assign(input.size(), 0);
         for (std::size_t w = 0; w < pathWords; ++w) {
             if (!dev[w])
                 continue;
@@ -471,7 +437,7 @@ FidelityEstimator::accumulateShotRows(
                     const std::size_t k = static_cast<std::size_t>(
                         __builtin_ctzll(m));
                     m &= m - 1;
-                    ws.keys[base + k] |= std::uint64_t(1) << b;
+                    as.keys[base + k] |= std::uint64_t(1) << b;
                 }
             }
             std::uint64_t m = rows[std::size_t(bus) * stride + w];
@@ -479,7 +445,7 @@ FidelityEstimator::accumulateShotRows(
                 const std::size_t k =
                     static_cast<std::size_t>(__builtin_ctzll(m));
                 m &= m - 1;
-                ws.keys[base + k] |= std::uint64_t(1)
+                as.keys[base + k] |= std::uint64_t(1)
                                      << addrQubits.size();
             }
         }
@@ -489,13 +455,11 @@ FidelityEstimator::accumulateShotRows(
     // deviates — the typical shape of an X event's whole-row flip
     // before per-path routing divergence) and partial rows. Uniform
     // rows fold into ONE output-word mask applied to every path;
-    // only the partial rows need a per-path test.
-    if (ws.path.bits.size() != nq)
-        ws.path = PathState(nq);
-    const std::size_t onw = ws.path.bits.numWords();
+    // only the partial rows flip path by path.
+    const std::size_t onw = visMaskWords.size();
     const std::size_t dw = idealEns.dataWords();
-    ws.uniformMask.assign(onw, 0);
-    ws.partialRows.clear();
+    as.uniformMask.assign(onw, 0);
+    as.partialRows.clear();
     for (std::uint32_t q : devRows) {
         bool uniform = true;
         for (std::size_t w = 0; w < dw && uniform; ++w)
@@ -503,43 +467,71 @@ FidelityEstimator::accumulateShotRows(
                        ideal[q * pathWords + w]) ==
                       idealEns.validMask(w);
         if (uniform)
-            ws.uniformMask[q >> 6] ^= std::uint64_t(1) << (q & 63);
+            as.uniformMask[q >> 6] ^= std::uint64_t(1) << (q & 63);
         else
-            ws.partialRows.push_back(q);
+            as.partialRows.push_back(q);
     }
 
-    // Accumulate: non-deviating paths from precomputed ideal lookups
-    // (same arithmetic, same order as the scalar engine). A deviating
-    // path contributes nothing unless its visible key matches some
-    // ideal key, and the keys are already gathered — so the key is
-    // checked FIRST and only matching paths materialize their output
-    // (ideal words XOR the uniform mask, plus partial-row flips — no
-    // per-qubit gatherPath walk).
-    std::uint64_t *outw = ws.path.bits.wordData();
-    const std::uint64_t *um = ws.uniformMask.data();
-    for (std::size_t k = 0; k < input.size(); ++k) {
-        const std::complex<double> phase = phases[k];
-        if (!((dev[k >> 6] >> (k & 63)) & 1)) {
-            accumulateIdealPath(acc, k, phase);
-            continue;
+    // A deviating path contributes nothing unless its visible key
+    // hits some ideal key, so pick the hits first, in path order,
+    // walking the set bits of the deviation mask. Only hits
+    // materialize an output: their ideal words XOR the uniform mask.
+    as.hitMask.assign(pathWords, 0);
+    as.hits.clear();
+    for (std::size_t w = 0; w < pathWords; ++w) {
+        for (std::uint64_t m = dev[w]; m; m &= m - 1) {
+            const unsigned b = static_cast<unsigned>(__builtin_ctzll(m));
+            const auto it = visIndex.find(as.keys[w * 64 + b]);
+            if (it == visIndex.end())
+                continue;
+            as.hitMask[w] |= std::uint64_t(1) << b;
+            as.hits.push_back({w * 64 + b, it->second});
         }
-        const auto it = visIndex.find(ws.keys[k]);
-        if (it == visIndex.end())
-            continue; // off every ideal key: contributes nothing
-        const std::uint64_t *iw = ideals[k].bits.wordData();
+    }
+    if (as.outs.size() < as.hits.size())
+        as.outs.resize(as.hits.size(),
+                       BitVec(exec.circuit().numQubits()));
+    if (as.outOf.size() < input.size())
+        as.outOf.resize(input.size());
+    const std::uint64_t *um = as.uniformMask.data();
+    for (std::size_t h = 0; h < as.hits.size(); ++h) {
+        const std::uint64_t *iw = ideals[as.hits[h].path].bits.wordData();
+        std::uint64_t *ow = as.outs[h].wordData();
         for (std::size_t w = 0; w < onw; ++w)
-            outw[w] = iw[w] ^ um[w];
-        const std::size_t kw = k >> 6;
-        const std::uint64_t km = std::uint64_t(1) << (k & 63);
-        for (std::uint32_t q : ws.partialRows)
-            if ((rows[q * stride + kw] ^
-                 ideal[q * pathWords + kw]) &
-                km)
-                outw[q >> 6] ^= std::uint64_t(1) << (q & 63);
-        // A set deviation bit proves outBits != ideals[k].bits, so
-        // the self-overlap compare of the general form is skipped.
-        accumulateVisiblePath(acc, k, ws.path.bits, it->second,
-                              phase);
+            ow[w] = iw[w] ^ um[w];
+        as.outOf[as.hits[h].path] = ow;
+    }
+
+    // Partial rows, row by row: XOR the row's bit into the outputs of
+    // exactly its deviating hit paths — the set bits of (noisy ^
+    // ideal) & hitMask — so the work is one step per deviating
+    // (row, hit path) bit, not per row per hit path.
+    for (std::uint32_t q : as.partialRows) {
+        const std::uint64_t *nr = rows + q * stride;
+        const std::uint64_t *ir = ideal + q * pathWords;
+        const std::size_t qw = q >> 6;
+        const std::uint64_t qb = std::uint64_t(1) << (q & 63);
+        for (std::size_t w = 0; w < pathWords; ++w)
+            for (std::uint64_t m = (nr[w] ^ ir[w]) & as.hitMask[w]; m;
+                 m &= m - 1)
+                as.outOf[w * 64 + static_cast<std::size_t>(
+                                      __builtin_ctzll(m))][qw] ^= qb;
+    }
+
+    // Accumulate in path order (same arithmetic, same order as the
+    // scalar engine): non-deviating paths from precomputed ideal
+    // lookups, hits from their outputs. A set deviation bit proves
+    // a hit's output differs from its ideal, so the self-overlap
+    // compare of the general form is skipped.
+    std::size_t h = 0;
+    for (std::size_t k = 0; k < input.size(); ++k) {
+        if (!((dev[k >> 6] >> (k & 63)) & 1))
+            accumulateIdealPath(acc, k, phases[k]);
+        else if (h < as.hits.size() && as.hits[h].path == k) {
+            accumulateVisiblePath(acc, k, as.outs[h], as.hits[h].owner,
+                                  phases[k]);
+            ++h;
+        }
     }
 }
 
@@ -590,7 +582,8 @@ FidelityEstimator::shotFlat(const FlatRealization &errors,
     // the ensemble-native accumulation classifies and scores them.
     ws.ens = ckpts[ckpt];
     exec.runSpanEnsemble(ws.ens, from, numOps, events, numEvents);
-    accumulateEnsembleShot(ws, acc);
+    AccumulateScratch as; // single-shot entry point only (shotFidelity)
+    accumulateEnsembleShot(ws, as, acc);
     fullOut = acc.full();
     reducedOut = acc.reduced();
 }
@@ -652,7 +645,7 @@ FidelityEstimator::evalGeneralBatch(
         stage(&StageTimes::replay);
         for (std::size_t b = 0; b < qn; ++b) {
             ShotAccumulator acc;
-            accumulateEnsembleShot(wss[b], acc);
+            accumulateEnsembleShot(wss[b], scratch.accum, acc);
             fs[rows[b]] = acc.full();
             rs[rows[b]] = acc.reduced();
         }
@@ -715,7 +708,7 @@ FidelityEstimator::evalGeneralBatch(
         accumulateShotRows(blk.rowData() + b * pw, blk.rowWords(),
                            blk.phaseSlice(b),
                            scratch.devBlock.data() + b * pw,
-                           wss[b].devRows, wss[b], acc);
+                           wss[b].devRows, scratch.accum, acc);
         fs[rows[b]] = acc.full();
         rs[rows[b]] = acc.reduced();
     }

@@ -379,9 +379,6 @@ class FidelityEstimator
     /** Copy of @p bits with address+bus positions cleared. */
     BitVec ancillaPart(const BitVec &bits) const;
 
-    /** ancillaPart into a reusable scratch (no per-call allocation). */
-    void ancillaPartInto(const BitVec &bits, BitVec &out) const;
-
     /** Shots sampled ahead per chunk of the estimate loop (also the
      *  upper clamp of the replay-batch width: wider batches could
      *  never fill from one chunk). */
@@ -394,14 +391,30 @@ class FidelityEstimator
     /** Reusable per-thread scratch for shot evaluation. */
     struct ShotWorkspace
     {
-        PathState path;           ///< scalar replay / outBits scratch
+        PathState path;           ///< scalar replay state
         PathEnsemble ens;         ///< ensemble replay state
         simd::AlignedWords parity; ///< Z-path sign bits per path
         simd::AlignedWords dev;    ///< per-path deviation mask
         std::vector<std::uint32_t> devRows; ///< qubits with deviation
-        std::vector<std::uint64_t> keys;    ///< row-wise visible keys
+    };
+
+    /** Scratch of accumulateShotRows. Shots accumulate one at a time,
+     *  so one instance serves a whole replay batch. */
+    struct AccumulateScratch
+    {
+        /** A deviating path whose visible key hits an ideal key. */
+        struct Hit
+        {
+            std::size_t path;  ///< path index
+            std::size_t owner; ///< the key's ideal-path index
+        };
+        std::vector<std::uint64_t> keys;        ///< row-wise visible keys
         std::vector<std::uint64_t> uniformMask; ///< all-path flip words
         std::vector<std::uint32_t> partialRows; ///< per-path-flip rows
+        std::vector<std::uint64_t> hitMask;     ///< hits, one bit per path
+        std::vector<Hit> hits;                  ///< hits in path order
+        std::vector<BitVec> outs;               ///< outs[h]: hit h's output
+        std::vector<std::uint64_t *> outOf;     ///< path -> its outs words
     };
 
     /** Shot evaluation with caller-provided scratch. */
@@ -421,6 +434,7 @@ class FidelityEstimator
         std::vector<std::size_t> queue;
         std::vector<const FlatRealization *> ptrs;
         std::vector<FeynmanExecutor::EnsembleReplaySlot> slots;
+        AccumulateScratch accum;
 
         /// @name Op-major block replay (ReplayEngine::Ensemble)
         /// @{
@@ -530,12 +544,9 @@ class FidelityEstimator
 
     /**
      * Ensemble-native accumulation of a replayed shot: deviation
-     * masks row-wise against the ideal cache, visible keys gathered
-     * by word transpose from the visible rows only, and deviating
-     * paths materialized as ideal-output word copies plus sparse
-     * deviating-row flips — no per-qubit gatherPath walk.
+     * masks row-wise against the ideal cache, then accumulateShotRows.
      */
-    void accumulateEnsembleShot(ShotWorkspace &ws,
+    void accumulateEnsembleShot(ShotWorkspace &ws, AccumulateScratch &as,
                                 ShotAccumulator &acc) const;
 
     /**
@@ -543,49 +554,39 @@ class FidelityEstimator
      * of the shot's noisy output lives at rows + q * stride (a
      * PathEnsemble, or one shot's slice view of an EnsembleBlock),
      * @p dev is the shot's ready-made per-path deviation mask and
-     * @p devRows its deviating qubits in ascending order. @p ws
-     * supplies the keys/path scratch. Arithmetic and order are
-     * exactly accumulateEnsembleShot's — the bit-identity contract
-     * between the slot and block replay engines.
+     * @p devRows its deviating qubits in ascending order. Visible
+     * keys come from a word transpose of the visible rows; only the
+     * deviating paths whose key hits an ideal key materialize an
+     * output (ideal words XOR the uniform-row mask), and each
+     * partial row's bit is scattered into the outputs of its
+     * deviating hit paths. Per-path arithmetic and order are the
+     * scalar engine's — the bit-identity contract between engines.
      */
     void accumulateShotRows(const std::uint64_t *rows,
                             std::size_t stride,
                             const std::complex<double> *phases,
                             const std::uint64_t *dev,
                             const std::vector<std::uint32_t> &devRows,
-                            ShotWorkspace &ws,
+                            AccumulateScratch &as,
                             ShotAccumulator &acc) const;
+
+    /**
+     * Accumulate path @p k's noisy output (the scalar oracle's
+     * per-path step). @p outBits is spent: a deviating path's
+     * visible bits are cleared in place.
+     */
     void accumulatePath(ShotAccumulator &acc, std::size_t k,
-                        const BitVec &outBits,
+                        BitVec &outBits,
                         std::complex<double> outPhase) const;
 
-    /** accumulatePath with the visible key already computed. */
-    void accumulatePathKeyed(ShotAccumulator &acc, std::size_t k,
-                             const BitVec &outBits, std::uint64_t key,
-                             std::complex<double> outPhase) const;
-
     /**
-     * accumulatePathKeyed specialized to a path known to have left
-     * its ideal output (any path with a set deviation bit): skips
-     * the self-overlap compare and keeps the reduced-overlap group
-     * key in the accumulator's scratch so per-path lookups never
-     * allocate. Same arithmetic, same group-map population sequence.
-     */
-    void accumulateDeviatingPath(ShotAccumulator &acc, std::size_t k,
-                                 const BitVec &outBits,
-                                 std::uint64_t key,
-                                 std::complex<double> outPhase) const;
-
-    /**
-     * The body of accumulateDeviatingPath after the visible-key hit:
-     * @p owner is the key's ideal-path index (visIndex lookup result).
-     * Split out so accumulateShotRows can check the key BEFORE
-     * materializing a path's output — a deviating path whose key
-     * misses every ideal key contributes nothing and is skipped
-     * without materialization.
+     * accumulatePath for a path known to have left its ideal output
+     * whose visible key hits ideal path @p owner (a visIndex lookup):
+     * skips the self-overlap compare, clears @p outBits' visible bits
+     * in place and uses the result as the reduced-overlap group key.
      */
     void accumulateVisiblePath(ShotAccumulator &acc, std::size_t k,
-                               const BitVec &outBits, std::size_t owner,
+                               BitVec &outBits, std::size_t owner,
                                std::complex<double> outPhase) const;
 
     /**

@@ -1015,6 +1015,51 @@ TEST(BrokerCli, MissingBrokerFallsBackWithoutBurningRetries)
         << "a dead broker must not burn worker retries: " << report;
 }
 
+TEST(BrokerCli, AdaptiveJobIsNotAnsweredByItsReplayTwin)
+{
+    // Same workload and seed, different estimate mode: the brokered
+    // --adaptive job must compute its own answer, not resume the
+    // finished Replay job (the job identity carries the mode).
+    const std::string dir = tempDir("brkcli_adaptive");
+    const std::string adaptive = std::string(kWorkload) + " --adaptive";
+    ASSERT_EQ(0, shCode(std::string(QRAMSIM_DRIVE_BIN) +
+                        " --in-process --shards 4 --job " + dir +
+                        "/ref" + adaptive + " > /dev/null 2>&1"));
+    const std::string ref = readFileStr(dir + "/ref/result.json");
+    ASSERT_FALSE(ref.empty());
+
+    const std::string sock = dir + "/broker.sock";
+    startBg(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
+                " --heartbeat 0.2",
+            dir + "/broker.pid", dir + "/broker.log");
+    ASSERT_TRUE(waitSocket(sock));
+    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                " --name w1",
+            dir + "/w1.pid", dir + "/w1.log");
+    const std::string drive =
+        std::string(QRAMSIM_DRIVE_BIN) + " --worker-bin " +
+        QRAMSIM_SHARD_BIN + " --shards 4 --broker " + sock;
+    const int replayRc = shCode(drive + " --job " + dir + "/replay" +
+                                kWorkload + " > /dev/null 2>&1");
+    const int adaptiveRc = shCode(drive + " --job " + dir +
+                                  "/adaptive" + adaptive +
+                                  " > /dev/null 2>&1");
+    killPid(dir + "/w1.pid");
+    killPid(dir + "/broker.pid");
+    ASSERT_EQ(0, replayRc);
+    ASSERT_EQ(0, adaptiveRc);
+
+    EXPECT_EQ(ref, readFileStr(dir + "/adaptive/result.json"));
+    EXPECT_NE(readFileStr(dir + "/replay/result.json"), ref);
+    const std::string report =
+        readFileStr(dir + "/adaptive/report.json");
+    EXPECT_NE(std::string::npos, report.find("\"broker_shards\": 4"))
+        << report;
+    EXPECT_NE(std::string::npos,
+              report.find("\"broker_transport_failures\": 0"))
+        << report;
+}
+
 TEST(BrokerCli, KilledWorkerIsStolenByteIdentically)
 {
     const std::string dir = tempDir("brkcli_steal");

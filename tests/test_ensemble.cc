@@ -381,7 +381,11 @@ seedEstimate(const Circuit &circuit, const std::vector<Qubit> &addr,
     return res;
 }
 
-/** Estimate under both replay engines; require bit-identity. */
+/**
+ * Estimate under both replay engines, sequentially and pipelined on 2
+ * threads (counter streams), and with the seed replica; require
+ * bit-identity.
+ */
 void
 expectEnginesAndSeedAgree(const Circuit &circuit,
                           const std::vector<Qubit> &addr, Qubit bus,
@@ -390,9 +394,12 @@ expectEnginesAndSeedAgree(const Circuit &circuit,
                           std::uint64_t seed)
 {
     FidelityEstimator est(circuit, addr, bus, input);
+    est.setPipeline(true);
     FidelityResult ensemble = est.estimate(noise, shots, seed);
+    FidelityResult ensemble2 = est.estimate(noise, shots, seed, 2);
     est.setReplayEngine(FidelityEstimator::ReplayEngine::Scalar);
     FidelityResult scalar = est.estimate(noise, shots, seed);
+    FidelityResult scalar2 = est.estimate(noise, shots, seed, 2);
     FidelityResult ref =
         seedEstimate(circuit, addr, bus, input, noise, shots, seed);
 
@@ -404,6 +411,10 @@ expectEnginesAndSeedAgree(const Circuit &circuit,
     EXPECT_EQ(ensemble.reduced, ref.reduced);
     EXPECT_EQ(ensemble.fullStderr, ref.fullStderr);
     EXPECT_EQ(ensemble.reducedStderr, ref.reducedStderr);
+    EXPECT_EQ(ensemble2.full, scalar2.full);
+    EXPECT_EQ(ensemble2.reduced, scalar2.reduced);
+    EXPECT_EQ(ensemble2.fullStderr, scalar2.fullStderr);
+    EXPECT_EQ(ensemble2.reducedStderr, scalar2.reducedStderr);
 }
 
 TEST(Fidelity, DuplicateVisibleKeySuperposition)
@@ -446,6 +457,23 @@ TEST(Fidelity, RandomSuperpositionRoundTrip)
     DeviceNoise dev(1e-4, 1e-3);
     expectEnginesAndSeedAgree(qc.circuit, qc.addressQubits,
                               qc.busQubit, in, dev, 48, 1010);
+}
+
+TEST(Fidelity, MultiWordBucketBrigadeUnderDepolarizing)
+{
+    // The accumulation at the benchmark's shape: 128 paths (two path
+    // words), and a rate at which every path of a general shot
+    // deviates, most deviating rows are partial and a shot's outputs
+    // split into dozens of reduced-overlap groups, so group order
+    // reaches the sums.
+    Rng rng(7);
+    Memory mem = Memory::random(7, rng);
+    QueryCircuit qc = BucketBrigadeQram(7).build(mem);
+    GateNoise depol(PauliRates::depolarizing(1e-3));
+    expectEnginesAndSeedAgree(qc.circuit, qc.addressQubits,
+                              qc.busQubit,
+                              AddressSuperposition::uniform(7), depol,
+                              16, 7);
 }
 
 TEST(Fidelity, ParallelEnsembleMatchesParallelScalar)

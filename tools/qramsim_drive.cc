@@ -41,7 +41,8 @@
  *                     --server / fork-exec ladder, so the result is
  *                     byte-identical either way. A dead drive can
  *                     rerun the same command line: the matching
- *                     workload fingerprint resumes the parked job.
+ *                     estimate (tool::estimateKey) resumes the parked
+ *                     job.
  *   --broker-stall S  give up on the broker when no new result has
  *                     arrived for S seconds (default 60)
  *   --max-attempts N  dispatch attempts per shard (default 3)
@@ -81,7 +82,6 @@
 #include <sys/stat.h>
 
 #include "common/atomicfile.hh"
-#include "common/json.hh"
 #include "common/threadpool.hh"
 #include "sim/broker.hh"
 #include "sim/orchestrator.hh"
@@ -138,17 +138,13 @@ void
 runBrokerPhase(OrchestratorConfig &cfg, const tool::RunOptions &opt,
                const std::string &brokerPath, double stallSec)
 {
-    // Workload fingerprint = job identity: a reconnecting drive with
+    // Job identity = the canonical estimate (mode and adaptive policy
+    // included) plus the shard geometry: a reconnecting drive with
     // the same command line resumes its parked job, a different
-    // workload can never collide into it (the broker re-checks the
+    // estimate can never collide into it (the broker re-checks the
     // full fingerprint string, not just its hash).
-    std::string fp = opt.w.fingerprint(opt.shots);
-    fp += "|seed=" + std::to_string(opt.seed);
-    fp += "|stream=" +
-          std::to_string(static_cast<int>(opt.stream));
-    fp += "|shards=" + std::to_string(cfg.requestedShards);
-    fp += "|factors=";
-    json::appendDoubleArray(fp, opt.factors);
+    const std::string fp = tool::estimateKey(opt) + ";shards=" +
+                           std::to_string(cfg.requestedShards);
 
     auto transportFail = [&](const std::string &why) {
         ++cfg.brokerTransportFailures;

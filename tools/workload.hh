@@ -440,53 +440,66 @@ cutShardSpec(const RunOptions &opt, ShardSpec &spec,
 }
 
 /**
- * Canonical content key of one shard request's RESULT. Two requests
- * with equal keys produce byte-identical PartialEstimate JSON, so a
- * result cache may serve one computation to both.
- *
- * Built from the PARSED request, never the flag text: permuted flag
- * orderings and equivalent spellings of the same value ("2e-3" vs
- * "0.002", factor lists with the same doubles) canonicalize to the
- * same key, while every semantic knob (noise rates, seed, shot
- * range, stream, mode and the full adaptive policy — batch included,
- * it moves stopping decisions) changes it.
+ * Canonical text of the estimate a request asks for. Built from the
+ * PARSED request, never the flag text: permuted flag orderings and
+ * equivalent spellings of the same value ("2e-3" vs "0.002", factor
+ * lists with the same doubles) canonicalize to the same text, while
+ * every semantic knob (workload, noise rates, shot budget, seed,
+ * stream, sweep factors, the estimate mode and the full adaptive
+ * policy — batch included, it moves stopping decisions) changes it.
  *
  * Deliberately EXCLUDED: threads, pipeline, engine and SIMD-tier
  * pins, and the output path. The estimation invariants enforced by
  * the test suite make results bit-identical across all of them, so
- * keying on them would only split the cache.
+ * keying on them would only split a cache.
+ *
+ * The one source of both resultCacheKey (one shard's result) and
+ * qramsim_drive's broker job identity (a whole job), so neither can
+ * drop a field that changes the answer.
  */
 inline std::string
-resultCacheKey(const RunOptions &opt, const ShardSpec &spec)
+estimateKey(const RunOptions &opt)
 {
     std::string key = opt.w.fingerprint(opt.shots);
     char buf[320];
-    std::snprintf(buf, sizeof buf,
-                  ";seed=%llu;stream=%s;range=%zu-%zu",
+    std::snprintf(buf, sizeof buf, ";seed=%llu;stream=%s",
                   static_cast<unsigned long long>(opt.seed),
-                  shotStreamName(spec.stream), spec.shotBegin,
-                  spec.shotEnd);
+                  shotStreamName(opt.stream));
     key += buf;
     key += ";factors=";
-    for (std::size_t i = 0; i < spec.factors.size(); ++i) {
+    for (std::size_t i = 0; i < opt.factors.size(); ++i) {
         std::snprintf(buf, sizeof buf, "%s%.17g", i ? "," : "",
-                      spec.factors[i]);
+                      opt.factors[i]);
         key += buf;
     }
-    if (spec.mode == EstimateMode::Adaptive) {
+    if (opt.adaptive) {
         std::snprintf(buf, sizeof buf,
                       ";mode=adaptive;target-ci=%.17g;confidence=%.17g;"
                       "min-shots=%zu;max-shots=%zu;batch=%zu;"
                       "max-draws=%zu",
-                      spec.policy.targetHalfWidth,
-                      spec.policy.confidence, spec.policy.minShots,
-                      spec.policy.maxShots, spec.policy.batch,
-                      spec.policy.maxDraws);
+                      opt.pol.targetHalfWidth, opt.pol.confidence,
+                      opt.pol.minShots, opt.pol.maxShots,
+                      opt.pol.batch, opt.pol.maxDraws);
         key += buf;
     } else {
         key += ";mode=replay";
     }
     return key;
+}
+
+/**
+ * Canonical content key of one shard request's RESULT: the request's
+ * estimateKey plus the shot range @p spec covers (cutShardSpec of
+ * the same request). Two requests with equal keys produce
+ * byte-identical PartialEstimate JSON, so a result cache may serve
+ * one computation to both.
+ */
+inline std::string
+resultCacheKey(const RunOptions &opt, const ShardSpec &spec)
+{
+    return estimateKey(opt) + ";range=" +
+           std::to_string(spec.shotBegin) + "-" +
+           std::to_string(spec.shotEnd);
 }
 
 inline bool
