@@ -20,9 +20,9 @@
  * The record also carries a replay-batch width sweep: estimator
  * shots/sec on a bucket-brigade m=M depolarizing workload (general
  * replay path) at each batch width, plus the best width — per-host
- * tuning data for the QRAMSIM_REPLAY_BATCH / setReplayBatch knob.
- * Every width produces bit-identical results, so this is purely a
- * throughput surface.
+ * tuning data for FidelityEstimator::setReplayBatch. Every width
+ * produces bit-identical results, so this is purely a throughput
+ * surface.
  */
 
 #include <chrono>

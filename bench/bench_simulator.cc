@@ -14,7 +14,8 @@
  *    A second workload swaps in depolarizing gate noise, whose X/Y
  *    events force the general replay path on nearly every shot, and
  *    records the scalar-replay vs bit-sliced-ensemble throughput —
- *    the ensemble engine's speedup over the compiled scalar engine.
+ *    the ensemble engine's speedup over the compiled scalar engine —
+ *    plus the threaded shot loop's throughput and stage split.
  *
  *  - without --json, the google-benchmark registrations run (when the
  *    library was available at configure time): Feynman-path throughput
@@ -287,30 +288,17 @@ runJsonMode(const std::string &path, unsigned m, double budgetSec,
     GateNoise depol(PauliRates::depolarizing(1e-3));
     est.setReplayEngine(FidelityEstimator::ReplayEngine::Scalar);
     FidelityResult ds = est.estimate(depol, 6, checkSeed);
-    est.setReplayEngine(FidelityEstimator::ReplayEngine::EnsembleSlots);
-    FidelityResult dl = est.estimate(depol, 6, checkSeed);
     est.setReplayEngine(FidelityEstimator::ReplayEngine::Ensemble);
     FidelityResult de = est.estimate(depol, 6, checkSeed);
-    if (ds.full != de.full || ds.reduced != de.reduced ||
-        dl.full != de.full || dl.reduced != de.reduced) {
+    if (ds.full != de.full || ds.reduced != de.reduced) {
         std::fprintf(stderr,
                      "engine mismatch: scalar (%.17g, %.17g) vs "
-                     "slots (%.17g, %.17g) vs block (%.17g, %.17g)\n",
-                     ds.full, ds.reduced, dl.full, dl.reduced,
-                     de.full, de.reduced);
+                     "block (%.17g, %.17g)\n",
+                     ds.full, ds.reduced, de.full, de.reduced);
         return 1;
     }
     est.setReplayEngine(FidelityEstimator::ReplayEngine::Scalar);
     const double depolScalarSps = shotsPerSecond(
-        [&](std::size_t shots) {
-            est.estimate(depol, shots, 11);
-        },
-        budgetSec, repeats);
-    // Shot-major slot loop (the pre-transpose ensemble engine) vs the
-    // op-major block default: their ratio is the transposed-batch win
-    // in isolation, on top of the ensemble-over-scalar speedup.
-    est.setReplayEngine(FidelityEstimator::ReplayEngine::EnsembleSlots);
-    const double depolSlotsSps = shotsPerSecond(
         [&](std::size_t shots) {
             est.estimate(depol, shots, 11);
         },
@@ -322,49 +310,24 @@ runJsonMode(const std::string &path, unsigned m, double budgetSec,
         },
         budgetSec, repeats);
     const double ensembleSpeedup = depolEnsembleSps / depolScalarSps;
-    const double blockSpeedup = depolEnsembleSps / depolSlotsSps;
     std::printf("  depolarizing (general path):\n");
     std::printf("    scalar replay:   %.3g shots/s\n", depolScalarSps);
-    std::printf("    slot-loop replay: %.3g shots/s\n", depolSlotsSps);
-    std::printf("    op-major replay: %.3g shots/s, speedup %.2fx "
-                "(%.2fx over slot loop)\n",
-                depolEnsembleSps, ensembleSpeedup, blockSpeedup);
+    std::printf("    op-major replay: %.3g shots/s, speedup %.2fx\n",
+                depolEnsembleSps, ensembleSpeedup);
 
-    // Pipelined vs phase-sequential threaded replay on the same
-    // depolarizing workload, equal thread budgets: the A/B the
-    // QRAMSIM_PIPELINE knob exists for. Cross-checked bit for bit
-    // first — pipelining is pure scheduling.
+    // The threaded shot loop on the same depolarizing workload: each
+    // thread runs the op-major loop over its slice of the counter
+    // streams and times its own stages.
     const unsigned pthreads = std::max(2u, threads);
-    est.setPipeline(false);
-    FidelityResult dt = est.estimate(depol, 6, checkSeed, pthreads);
-    est.setPipeline(true);
-    FidelityResult dpip = est.estimate(depol, 6, checkSeed, pthreads);
-    if (dt.full != dpip.full || dt.reduced != dpip.reduced) {
-        std::fprintf(stderr,
-                     "pipeline mismatch: phase-sequential "
-                     "(%.17g, %.17g) vs pipelined (%.17g, %.17g)\n",
-                     dt.full, dt.reduced, dpip.full, dpip.reduced);
-        return 1;
-    }
-    est.setPipeline(false);
     const double depolThreadedSps = shotsPerSecond(
         [&](std::size_t shots) {
             est.estimate(depol, shots, 11, pthreads);
         },
         budgetSec, repeats);
-    est.setPipeline(true);
-    const double depolPipelineSps = shotsPerSecond(
-        [&](std::size_t shots) {
-            est.estimate(depol, shots, 11, pthreads);
-        },
-        budgetSec, repeats);
-    // Stage breakdown of the last (timed) pipelined run.
+    // Stage breakdown of the last (timed) threaded run.
     const PipelineStats pst = est.lastPipelineStats();
-    const double pipelineSpeedup = depolPipelineSps / depolThreadedSps;
-    std::printf("    threaded x%u:    %.3g shots/s phase-sequential, "
-                "%.3g shots/s pipelined (%.2fx)\n",
-                pthreads, depolThreadedSps, depolPipelineSps,
-                pipelineSpeedup);
+    std::printf("    threaded x%u:    %.3g shots/s\n", pthreads,
+                depolThreadedSps);
     std::printf("    stages: sample %.3fs gather %.3fs replay %.3fs "
                 "accumulate %.3fs | wall %.3fs occupancy %.2f "
                 "(%u hw threads)\n",
@@ -398,32 +361,27 @@ runJsonMode(const std::string &path, unsigned m, double budgetSec,
         "    \"speedup\": %.4g,\n"
         "    \"depol_noise\": \"gate depolarizing 1e-3 (weighted)\",\n"
         "    \"depol_scalar_shots_per_sec\": %.6g,\n"
-        "    \"depol_slots_shots_per_sec\": %.6g,\n"
         "    \"depol_ensemble_shots_per_sec\": %.6g,\n"
         "    \"ensemble_speedup\": %.4g,\n"
-        "    \"block_speedup\": %.4g,\n"
         "    \"depol_threaded_shots_per_sec\": %.6g,\n"
-        "    \"depol_pipeline_shots_per_sec\": %.6g,\n"
-        "    \"pipeline_speedup\": %.4g,\n"
-        "    \"pipeline_threads\": %u,\n"
+        "    \"depol_threaded_threads\": %u,\n"
         "    \"host_hw_threads\": %u,\n"
         "    \"stage_sample_sec\": %.6g,\n"
         "    \"stage_gather_sec\": %.6g,\n"
         "    \"stage_replay_sec\": %.6g,\n"
         "    \"stage_accumulate_sec\": %.6g,\n"
-        "    \"pipeline_wall_sec\": %.6g,\n"
-        "    \"pipeline_occupancy\": %.4g,\n"
-        "    \"pipeline_batches\": %zu\n"
+        "    \"depol_threaded_wall_sec\": %.6g,\n"
+        "    \"depol_threaded_occupancy\": %.4g,\n"
+        "    \"depol_threaded_batches\": %zu\n"
         "  }",
         bench::isoDateUtc().c_str(), bench::gitRevision().c_str(),
         simd::tierName(simd::activeTier()), m, qc.circuit.numQubits(),
         gates, paths, repeats, seedSps, seedSps * perShot, compiledSps,
         compiledSps * perShot, compiledMtSps, threads, speedup,
-        depolScalarSps, depolSlotsSps, depolEnsembleSps,
-        ensembleSpeedup, blockSpeedup, depolThreadedSps,
-        depolPipelineSps, pipelineSpeedup, pthreads, hardwareThreads(),
-        pst.sampleSec, pst.gatherSec, pst.replaySec, pst.accumulateSec,
-        pst.wallSec, pst.occupancy(), pst.batches);
+        depolScalarSps, depolEnsembleSps, ensembleSpeedup,
+        depolThreadedSps, pthreads, hardwareThreads(), pst.sampleSec,
+        pst.gatherSec, pst.replaySec, pst.accumulateSec, pst.wallSec,
+        pst.occupancy(), pst.batches);
     if (!bench::appendJsonRecord(path, record)) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return 1;

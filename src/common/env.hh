@@ -2,12 +2,12 @@
  * @file
  * Strict parsing for the QRAMSIM_* environment knobs.
  *
- * Every runtime knob (QRAMSIM_THREADS, QRAMSIM_REPLAY_BATCH,
- * QRAMSIM_PIPELINE, ...) follows the same contract: an unset variable
- * is silently ignored, a well-formed value is applied, and anything
- * else — garbage, a sign, embedded whitespace, or a value that
- * overflows the knob's range — is rejected with one warning to stderr
- * and the built-in default kept. The strtoul-based parsers this
+ * Every runtime knob (QRAMSIM_THREADS, QRAMSIM_FSYNC, ...) follows
+ * the same contract: an unset variable is silently ignored, a
+ * well-formed value is applied, and anything else — garbage, a sign,
+ * embedded whitespace, or a value that overflows the knob's range —
+ * is rejected with one warning to stderr and the built-in default
+ * kept. The strtoul-based parsers this
  * replaces accepted "  +7junk" and silently truncated values wider
  * than the destination type.
  */

@@ -1,29 +1,28 @@
 /**
  * @file
- * Persistent worker pool for the estimator's threaded and pipelined
- * shot execution.
+ * Persistent worker pool for the estimator's threaded shot
+ * execution.
  *
  * The pre-pool threaded estimator spawned and joined fresh
  * std::threads on every estimate() call (src/sim/fidelity.cc's old
- * dispatch loop); a pipelined executor dispatches many small stage
- * tasks per estimate, so thread reuse stops being a nicety and
- * becomes the difference between stage handoff at condition-variable
- * cost and stage handoff at thread-creation cost. A ThreadPool is
- * created once (FidelityEstimator keeps one lazily, and ShardSpec can
- * carry a caller-owned pool so many shards share workers) and serves
- * any number of task batches.
+ * dispatch loop); an adaptive run dispatches one task wave per
+ * stopping batch, so thread reuse turns a per-wave thread-creation
+ * cost into a condition-variable handoff. A ThreadPool is created
+ * once (FidelityEstimator keeps one lazily, and ShardSpec can carry a
+ * caller-owned pool so many shards share workers) and serves any
+ * number of task batches.
  *
  * Scheduling model: one FIFO queue, no work stealing. Tasks are
- * coarse (a sampling chunk, a replay batch, a contiguous shot range),
- * so queue contention is negligible and FIFO keeps dispatch order
+ * coarse (a contiguous shot range or a chunk of kept draws), so queue
+ * contention is negligible and FIFO keeps dispatch order
  * deterministic — not that correctness needs it: the estimator keys
  * every result row by global shot index and re-reduces in global shot
  * order, so task completion order never reaches the output.
  *
  * TaskGroup is the structured-completion face: post tasks through a
  * group, wait() for all of them, and the first exception any task
- * threw is rethrown on the waiting thread (the pipeline's stage-error
- * propagation contract, tested by tests/test_pipeline.cc). The raw
+ * threw is rethrown on the waiting thread (the estimator's
+ * error-propagation contract, tested by tests/test_pipeline.cc). The raw
  * ThreadPool::post interface requires tasks that do not throw.
  */
 

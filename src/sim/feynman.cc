@@ -307,11 +307,11 @@ namespace {
 
 /**
  * Apply one error event to one shot's row slice and phase
- * accumulators — the shared core of the slot and block engines, so
- * the Pauli arithmetic (the bit-identity contract) lives in exactly
- * one place. Per-path arithmetic is identical (value and order) to
- * applyErrorWords on each path: sign flips for the paths whose bit
- * is set, then the bit flip / global i. Bit flips are whole-row XORs
+ * accumulators — the shared core of the per-shot and block ensemble
+ * engines, so the Pauli arithmetic (the bit-identity contract) lives
+ * in exactly one place. Per-path arithmetic is identical (value and
+ * order) to applyErrorWords on each path: sign flips for the paths
+ * whose bit is set, then the bit flip / global i. Bit flips are whole-row XORs
  * of the valid mask (the broadcast block kernel, one slice); phase
  * walks only visit data words — padding words are zero by invariant,
  * so they can never contribute a set bit.
@@ -586,7 +586,7 @@ FeynmanExecutor::runSpanEnsembleBlock(EnsembleBlock &blk,
         // before this position, and find the next position where any
         // per-shot bookkeeping is needed again. Events fire before
         // the op at their position and a shot's first op is the op at
-        // its join position — exactly the slot loop's interleaving —
+        // its join position — exactly runSpanEnsemble's interleaving —
         // so every stop position is > i and the loop advances.
         std::uint32_t stop = to;
         for (std::size_t b = 0; b < n; ++b) {
@@ -624,20 +624,15 @@ FeynmanExecutor::runSpanEnsembleBlock(EnsembleBlock &blk,
 }
 
 void
-FeynmanExecutor::runSpanEnsembleBatch(EnsembleReplaySlot *slots,
-                                      std::size_t n,
-                                      std::uint32_t to) const
+FeynmanExecutor::runSpanEnsemble(PathEnsemble &ens, std::uint32_t from,
+                                 std::uint32_t to,
+                                 const FlatEvent *events,
+                                 std::size_t numEvents) const
 {
     const simd::RowKernels &K = simd::activeKernels();
-    std::uint32_t from = to;
-    for (std::size_t b = 0; b < n; ++b) {
-        QRAMSIM_ASSERT(slots[b].ens->numQubits() == circ.numQubits(),
-                       "ensemble width mismatch");
-        QRAMSIM_ASSERT(slots[b].from <= to,
-                       "replay slot starts beyond span end");
-        slots[b].ev = 0;
-        from = std::min(from, slots[b].from);
-    }
+    QRAMSIM_ASSERT(ens.numQubits() == circ.numQubits(),
+                   "ensemble width mismatch");
+    QRAMSIM_ASSERT(from <= to, "replay span starts beyond its end");
 
     const std::uint8_t *kind = cs.kind.data();
     const std::uint32_t *tq0 = cs.tq0.data();
@@ -645,41 +640,19 @@ FeynmanExecutor::runSpanEnsembleBatch(EnsembleReplaySlot *slots,
     const std::uint32_t *ectrlBegin = cs.ectrlBegin.data();
     const EnsembleCtrl *ectrl = cs.ectrl.data();
 
+    std::size_t ev = 0;
     for (std::uint32_t i = from; i < to; ++i) {
-        // Shared decode: one op fetch serves every shot in the batch.
-        const auto op = static_cast<CompiledStream::Op>(kind[i]);
-        const std::uint32_t q0 = tq0[i], q1 = tq1[i];
-        const EnsembleCtrl *ec = ectrl + ectrlBegin[i];
-        const std::size_t nc = ectrlBegin[i + 1] - ectrlBegin[i];
-
-        for (std::size_t b = 0; b < n; ++b) {
-            EnsembleReplaySlot &s = slots[b];
-            if (i < s.from)
-                continue;
-            while (s.ev < s.numEvents && s.events[s.ev].pos <= i)
-                applyErrorEnsemble(s.events[s.ev++], *s.ens, K);
-            applyOpEnsemble(op, q0, q1, ec, nc, *s.ens, K);
-        }
+        while (ev < numEvents && events[ev].pos <= i)
+            applyErrorEnsemble(events[ev++], ens, K);
+        applyOpEnsemble(static_cast<CompiledStream::Op>(kind[i]),
+                        tq0[i], tq1[i], ectrl + ectrlBegin[i],
+                        ectrlBegin[i + 1] - ectrlBegin[i], ens, K);
     }
-
-    for (std::size_t b = 0; b < n; ++b) {
-        EnsembleReplaySlot &s = slots[b];
-        while (s.ev < s.numEvents) {
-            QRAMSIM_ASSERT(s.events[s.ev].pos <= to,
-                           "error event beyond replay span");
-            applyErrorEnsemble(s.events[s.ev++], *s.ens, K);
-        }
+    for (; ev < numEvents; ++ev) {
+        QRAMSIM_ASSERT(events[ev].pos <= to,
+                       "error event beyond replay span");
+        applyErrorEnsemble(events[ev], ens, K);
     }
-}
-
-void
-FeynmanExecutor::runSpanEnsemble(PathEnsemble &ens, std::uint32_t from,
-                                 std::uint32_t to,
-                                 const FlatEvent *events,
-                                 std::size_t numEvents) const
-{
-    EnsembleReplaySlot slot{&ens, events, numEvents, from, 0};
-    runSpanEnsembleBatch(&slot, 1, to);
 }
 
 PathEnsemble

@@ -263,39 +263,13 @@ class FeynmanExecutor
     /**
      * Ensemble twin of runSpan: advance @p ens in place through
      * stream positions [from, to), firing @p events[0, numEvents) at
-     * their positions (all positions must lie in [from, to]).
+     * their positions (all positions must lie in [from, to]). The
+     * per-shot reference of the op-major block replay, and the
+     * estimator's checkpoint builder.
      */
     void runSpanEnsemble(PathEnsemble &ens, std::uint32_t from,
                          std::uint32_t to, const FlatEvent *events,
                          std::size_t numEvents) const;
-
-    /**
-     * One shot of a batched ensemble replay: an ensemble positioned
-     * at stream position @c from plus its realization's remaining
-     * events (all positions in [from, to] of the batch call). The
-     * cursor is internal state of runSpanEnsembleBatch.
-     */
-    struct EnsembleReplaySlot
-    {
-        PathEnsemble *ens;
-        const FlatEvent *events;
-        std::size_t numEvents;
-        std::uint32_t from;
-        std::size_t ev = 0; ///< event cursor (managed by the batch)
-    };
-
-    /**
-     * Batched twin of runSpanEnsemble: advance @p n shots' ensembles
-     * through the op stream to position @p to in ONE pass — each op
-     * is decoded once and applied to every shot whose span covers it
-     * (shots join at their own @c from), with per-shot events fired
-     * at their positions. Each shot's op/event sequence is exactly
-     * its solo runSpanEnsemble sequence, so results are bit-identical
-     * shot by shot; the batch only shares instruction decode and
-     * keeps the stream's working set hot across shots.
-     */
-    void runSpanEnsembleBatch(EnsembleReplaySlot *slots, std::size_t n,
-                              std::uint32_t to) const;
 
     /**
      * One shot of an op-major block replay: its remaining events
@@ -312,9 +286,9 @@ class FeynmanExecutor
     };
 
     /**
-     * Op-major (transposed) twin of runSpanEnsembleBatch over the
-     * fused EnsembleBlock arena: @p blk holds blk.numShots() shots'
-     * states qubit-major, shot-minor, and @p shots their join
+     * Op-major (transposed) multi-shot twin of runSpanEnsemble over
+     * the fused EnsembleBlock arena: @p blk holds blk.numShots()
+     * shots' states qubit-major, shot-minor, and @p shots their join
      * positions and event lists. Each op is decoded once and applied
      * to every joined shot's rows with ONE contiguous block-kernel
      * sweep per target row; runs of event-free ops execute back to
@@ -322,8 +296,8 @@ class FeynmanExecutor
      * positions (their mask slices open right before their first op)
      * and their events fire at their own positions, so each shot's
      * op/event sequence is exactly its solo runSpanEnsemble sequence
-     * — results are bit-identical shot by shot to the slot loop and
-     * to the per-shot engine at every batch width.
+     * — results are bit-identical shot by shot to the per-shot
+     * engine at every batch width.
      */
     void runSpanEnsembleBlock(EnsembleBlock &blk,
                               BlockReplayShot *shots,

@@ -3,18 +3,24 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
-#include <deque>
 #include <limits>
-#include <thread>
 
-#include "common/env.hh"
 #include "common/stats.hh"
 #include "common/threadpool.hh"
 
 namespace qramsim {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+} // namespace
 
 AddressSuperposition
 AddressSuperposition::uniform(unsigned addressWidth)
@@ -103,20 +109,6 @@ FidelityEstimator::FidelityEstimator(
 {
     QRAMSIM_ASSERT(addrQubits.size() + 1 <= 64,
                    "visible register too wide to pack");
-
-    // Runtime knobs, parsed strictly (common/env.hh rejects garbage,
-    // signs, and overflow loudly instead of misparsing).
-    if (auto v = env::readUnsigned("QRAMSIM_REPLAY_BATCH",
-                                   std::numeric_limits<
-                                       unsigned long>::max())) {
-        if (*v > 0)
-            setReplayBatch(static_cast<std::size_t>(*v));
-        else
-            std::fprintf(stderr, "warning: ignoring "
-                                 "QRAMSIM_REPLAY_BATCH=0\n");
-    }
-    if (auto on = env::readBool("QRAMSIM_PIPELINE"))
-        pipelineOn = *on;
 
     // The working state of the construction pass is the bit-sliced
     // ensemble itself: address bits scattered column-wise, phases 1.
@@ -388,32 +380,6 @@ FidelityEstimator::shotZOnly(const FlatRealization &errors,
 }
 
 void
-FidelityEstimator::accumulateEnsembleShot(ShotWorkspace &ws,
-                                          AccumulateScratch &as,
-                                          ShotAccumulator &acc) const
-{
-    const simd::RowKernels &K = simd::activeKernels();
-    const std::size_t nq = exec.circuit().numQubits();
-    const std::uint64_t *noisy = ws.ens.rowData();
-    const std::uint64_t *ideal = idealEns.rowData();
-
-    // Row-wise deviation masks against the ideal cache, recording the
-    // qubits (rows) where any path deviated — for sparse noise that
-    // set is the lightcone of the shot's events, a few rows out of
-    // hundreds.
-    ws.dev.assign(pathWords, 0);
-    ws.devRows.clear();
-    for (std::size_t q = 0; q < nq; ++q) {
-        if (K.diffOr(ws.dev.data(), noisy + q * pathWords,
-                     ideal + q * pathWords, pathWords))
-            ws.devRows.push_back(static_cast<std::uint32_t>(q));
-    }
-
-    accumulateShotRows(noisy, pathWords, ws.ens.phaseData(),
-                       ws.dev.data(), ws.devRows, as, acc);
-}
-
-void
 FidelityEstimator::accumulateShotRows(
     const std::uint64_t *rows, std::size_t stride,
     const std::complex<double> *phases, const std::uint64_t *dev,
@@ -536,76 +502,47 @@ FidelityEstimator::accumulateShotRows(
 }
 
 void
-FidelityEstimator::shotFlat(const FlatRealization &errors,
-                            ShotWorkspace &ws, double &fullOut,
-                            double &reducedOut) const
+FidelityEstimator::shotScalar(const FlatRealization &errors,
+                              ShotWorkspace &ws, double &fullOut,
+                              double &reducedOut) const
 {
-    if (errors.empty()) {
-        fullOut = emptyFull;
-        reducedOut = emptyReduced;
-        return;
-    }
-    if (errors.zOnly) {
-        shotZOnly(errors, ws, fullOut, reducedOut);
-        return;
-    }
-
     const std::uint32_t numOps =
         static_cast<std::uint32_t>(exec.stream().size());
     const FlatEvent *events = errors.events.data();
     const std::size_t numEvents = errors.events.size();
 
-    ShotAccumulator acc;
-
-    // General realization: replay from the checkpoint preceding the
-    // first event to the end of the stream.
+    // Replay from the checkpoint preceding the first event to the end
+    // of the stream: the pre-ensemble replay loop, fed from the
+    // materialized per-path checkpoint copies.
     const std::uint32_t lastCkpt =
         static_cast<std::uint32_t>(ckpts.size() - 1);
     const std::uint32_t ckpt =
         std::min(events[0].pos / ckptStride, lastCkpt);
     const std::uint32_t from = ckpt * ckptStride;
 
-    if (replay == ReplayEngine::Scalar) {
-        // Path-by-path oracle: the pre-ensemble replay loop, fed from
-        // the materialized per-path checkpoint copies.
-        for (std::size_t k = 0; k < input.size(); ++k) {
-            ws.path = scalarCkpts[ckpt][k];
-            exec.runSpan(ws.path, from, numOps, events, numEvents);
-            accumulatePath(acc, k, ws.path.bits, ws.path.phase);
-        }
-        fullOut = acc.full();
-        reducedOut = acc.reduced();
-        return;
+    ShotAccumulator acc;
+    for (std::size_t k = 0; k < input.size(); ++k) {
+        ws.path = scalarCkpts[ckpt][k];
+        exec.runSpan(ws.path, from, numOps, events, numEvents);
+        accumulatePath(acc, k, ws.path.bits, ws.path.phase);
     }
-
-    // Ensemble replay: one word-level sweep advances all paths, then
-    // the ensemble-native accumulation classifies and scores them.
-    ws.ens = ckpts[ckpt];
-    exec.runSpanEnsemble(ws.ens, from, numOps, events, numEvents);
-    AccumulateScratch as; // single-shot entry point only (shotFidelity)
-    accumulateEnsembleShot(ws, as, acc);
     fullOut = acc.full();
     reducedOut = acc.reduced();
 }
 
 void
 FidelityEstimator::evalGeneralBatch(
-    const FlatRealization *const *batch, const std::size_t *rows,
-    std::size_t qn, EvalScratch &scratch, double *fs, double *rs,
-    StageTimes *times) const
+    const FlatRealization *reals, const std::size_t *rows,
+    std::size_t qn, EvalScratch &scratch, double *fs, double *rs) const
 {
-    using Clock = std::chrono::steady_clock;
-    Clock::time_point tp;
-    if (times)
-        tp = Clock::now();
+    Clock::time_point tp = Clock::now();
     auto stage = [&](double StageTimes::*slot) {
-        if (!times)
-            return;
         const Clock::time_point now = Clock::now();
-        times->*slot +=
+        scratch.times.*slot +=
             std::chrono::duration<double>(now - tp).count();
         tp = now;
     };
+    ++scratch.times.batches;
 
     std::vector<ShotWorkspace> &wss = scratch.wss;
     if (wss.size() < qn)
@@ -614,44 +551,6 @@ FidelityEstimator::evalGeneralBatch(
         static_cast<std::uint32_t>(exec.stream().size());
     const std::uint32_t lastCkpt =
         static_cast<std::uint32_t>(ckpts.size() - 1);
-
-    if (replay == ReplayEngine::Scalar) {
-        // Path-by-path oracle (pipelined lanes only: evalShots never
-        // queues under Scalar). One whole-shot replay per entry,
-        // booked entirely as 'replay'.
-        for (std::size_t b = 0; b < qn; ++b)
-            shotFlat(*batch[b], wss[0], fs[rows[b]], rs[rows[b]]);
-        stage(&StageTimes::replay);
-        return;
-    }
-
-    if (replay == ReplayEngine::EnsembleSlots) {
-        // Shot-major baseline: one PathEnsemble per queued shot,
-        // per-op per-shot kernel calls (the pre-transpose engine).
-        if (scratch.slots.size() < qn)
-            scratch.slots.resize(qn);
-        FeynmanExecutor::EnsembleReplaySlot *slots =
-            scratch.slots.data();
-        for (std::size_t b = 0; b < qn; ++b) {
-            const FlatRealization &r = *batch[b];
-            const std::uint32_t ckpt = std::min(
-                r.events[0].pos / ckptStride, lastCkpt);
-            wss[b].ens = ckpts[ckpt];
-            slots[b] = {&wss[b].ens, r.events.data(),
-                        r.events.size(), ckpt * ckptStride, 0};
-        }
-        stage(&StageTimes::gather);
-        exec.runSpanEnsembleBatch(slots, qn, numOps);
-        stage(&StageTimes::replay);
-        for (std::size_t b = 0; b < qn; ++b) {
-            ShotAccumulator acc;
-            accumulateEnsembleShot(wss[b], scratch.accum, acc);
-            fs[rows[b]] = acc.full();
-            rs[rows[b]] = acc.reduced();
-        }
-        stage(&StageTimes::accumulate);
-        return;
-    }
 
     // Op-major block replay: gather the queued shots' checkpoint rows
     // into the fused arena qubit-major (contiguous writes per block
@@ -666,7 +565,7 @@ FidelityEstimator::evalGeneralBatch(
         scratch.bshots.resize(qn);
     FeynmanExecutor::BlockReplayShot *bshots = scratch.bshots.data();
     for (std::size_t b = 0; b < qn; ++b) {
-        const FlatRealization &r = *batch[b];
+        const FlatRealization &r = reals[rows[b]];
         const std::uint32_t ckpt =
             std::min(r.events[0].pos / ckptStride, lastCkpt);
         bshots[b] = {r.events.data(), r.events.size(),
@@ -723,27 +622,21 @@ FidelityEstimator::evalShots(const FlatRealization *reals,
     std::vector<ShotWorkspace> &wss = scratch.wss;
     if (wss.size() < replayBatchN)
         wss.resize(replayBatchN);
-    if (scratch.queue.size() < replayBatchN) {
+    if (scratch.queue.size() < replayBatchN)
         scratch.queue.resize(replayBatchN);
-        scratch.ptrs.resize(replayBatchN);
-    }
 
     // General realizations queue up and replay replayBatchN at a time
-    // through one batched pass — op-major over the fused block arena
-    // (default), or the shot-major slot loop (EnsembleSlots, the
-    // differential baseline); empty / Z-only / scalar-oracle
-    // realizations resolve immediately. Results land at their own
-    // indices, so the caller's reduction order is untouched.
+    // through one op-major pass over the fused block arena; empty /
+    // Z-only / scalar-oracle realizations resolve immediately.
+    // Results land at their own indices, so the caller's reduction
+    // order is untouched.
     std::size_t *queue = scratch.queue.data();
     std::size_t qn = 0;
 
     auto flush = [&]() {
         if (qn == 0)
             return;
-        for (std::size_t b = 0; b < qn; ++b)
-            scratch.ptrs[b] = &reals[queue[b]];
-        evalGeneralBatch(scratch.ptrs.data(), queue, qn, scratch, fs,
-                         rs, nullptr);
+        evalGeneralBatch(reals, queue, qn, scratch, fs, rs);
         qn = 0;
     };
 
@@ -755,7 +648,7 @@ FidelityEstimator::evalShots(const FlatRealization *reals,
         } else if (r.zOnly) {
             shotZOnly(r, wss[0], fs[j], rs[j]);
         } else if (replay == ReplayEngine::Scalar) {
-            shotFlat(r, wss[0], fs[j], rs[j]);
+            shotScalar(r, wss[0], fs[j], rs[j]);
         } else {
             queue[qn++] = j;
             if (qn == replayBatchN)
@@ -771,7 +664,6 @@ FidelityEstimator::setReplayEngine(ReplayEngine engine)
     if (engine != ReplayEngine::Scalar) {
         // Release the scalar oracle's duplicate of the checkpoint
         // data; it is re-materialized on the next switch to Scalar.
-        // The block and slot engines share the ensemble checkpoints.
         scalarCkpts.clear();
         scalarCkpts.shrink_to_fit();
     }
@@ -799,8 +691,8 @@ FidelityEstimator::shotFidelity(const FlatRealization &errors,
                                 double &fullOut,
                                 double &reducedOut) const
 {
-    ShotWorkspace ws;
-    shotFlat(errors, ws, fullOut, reducedOut);
+    EvalScratch scratch;
+    evalShots(&errors, 1, scratch, &fullOut, &reducedOut);
 }
 
 void
@@ -810,8 +702,7 @@ FidelityEstimator::shotFidelity(const ErrorRealization &errors,
 {
     FlatRealization flat;
     exec.flatten(errors, flat);
-    ShotWorkspace ws;
-    shotFlat(flat, ws, fullOut, reducedOut);
+    shotFidelity(flat, fullOut, reducedOut);
 }
 
 std::size_t
@@ -824,13 +715,6 @@ FidelityEstimator::setReplayBatch(std::size_t n)
 // Out of line so the unique_ptr<ThreadPool> member destroys where
 // ThreadPool is complete.
 FidelityEstimator::~FidelityEstimator() = default;
-
-bool
-FidelityEstimator::setPipeline(bool on)
-{
-    pipelineOn = on;
-    return pipelineOn;
-}
 
 PipelineStats
 FidelityEstimator::lastPipelineStats() const
@@ -856,331 +740,10 @@ PartialEstimate
 FidelityEstimator::runShard(const NoiseModel &noise,
                             const ShardSpec &spec) const
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    const Clock::time_point t0 = Clock::now();
     PartialEstimate part = runShardImpl(noise, spec, /*keepRows=*/true);
-    part.computeSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    part.computeSeconds = secondsSince(t0);
     return part;
-}
-
-/**
- * The pipelined shot executor. Work decomposes into independent
- * units — (global shot, sweep point) pairs, one per shot for a plain
- * estimate — and flows through three task kinds on the pool:
- *
- *   sample   one kShotChunk-wide chunk of shots: draw each shot's
- *            CounterRng(seed, s) realization(s) (order-free, the
- *            counter-stream property the pipeline rests on), resolve
- *            empty units inline from the cached ideal result, and
- *            classify the rest;
- *   Z-batch  a batch of Z-only units through the snapshot-XOR fast
- *            path (no replay);
- *   lane     a replayBatch()-wide batch of general units through
- *            evalGeneralBatch — gather into the lane's own
- *            EnsembleBlock arena, one op-major replay, accumulate.
- *
- * A coordinator on the calling thread keeps at most `threads` tasks
- * in flight (so pipelined and phase-sequential runs compete with the
- * same worker budget), hands drained sampling output to pending
- * queues, and dispatches lanes as batches fill: while lane A replays
- * batch N, lane B gathers/accumulates batch N±1 and sampling tasks
- * prepare the chunks behind it — the ping/pong arena overlap, with
- * per-lane scratch. Bounded buffers throughout: chunk slots recycle,
- * and a chunk is only drained while the pending queues are below
- * their high-water marks, so sampling can never run unboundedly
- * ahead of replay.
- *
- * Determinism: every unit's value is a pure function of
- * (estimator, noise, seed, shot, point) and is written at its
- * global-shot-keyed row; the caller re-reduces the rows in global
- * shot order (PartialEstimate::recomputeSums — the same mechanism
- * that makes shard merges deterministic), so scheduling order never
- * reaches the result and the pipelined path is bit-identical to the
- * phase-sequential one at every thread count and batch width.
- */
-void
-FidelityEstimator::runPipelined(const NoiseModel &noise,
-                                const ShardSpec &spec,
-                                unsigned threads, std::size_t npts,
-                                PartialEstimate &part,
-                                ThreadPool &pool) const
-{
-    using Clock = std::chrono::steady_clock;
-    const auto t0 = Clock::now();
-    const bool sweep = !spec.factors.empty();
-    const std::size_t n = spec.shots();
-    const std::size_t totalUnits = n * npts;
-    const std::size_t batchN = replayBatchN;
-    const std::size_t zBatchN = kShotChunk;
-    double *full = part.full.data();
-    double *reduced = part.reduced.data();
-
-    // A unit moved out of its sampling chunk: the realization plus
-    // the global-shot-keyed result row it must land in.
-    struct Pending
-    {
-        FlatRealization real;
-        std::size_t row;
-    };
-
-    struct Chunk
-    {
-        std::size_t firstShot = 0;
-        std::size_t nShots = 0;
-        std::vector<FlatRealization> reals; ///< nShots * npts units
-        std::vector<std::uint32_t> general; ///< unit offsets
-        std::vector<std::uint32_t> zonly;   ///< unit offsets
-        std::size_t emptyCount = 0;
-        double sec = 0.0;
-    };
-
-    // A lane owns everything one in-flight batch needs — its own
-    // block arena, workspaces, and unit storage — so any two lanes
-    // (and any sampling task) share no mutable state.
-    struct Lane
-    {
-        EvalScratch scratch;
-        std::vector<Pending> units;
-        std::vector<const FlatRealization *> batch;
-        std::vector<std::size_t> rows;
-        std::size_t count = 0;
-        bool zOnly = false;
-        StageTimes times;
-        double zSec = 0.0;
-    };
-
-    // Two replay lanes give the ping/pong arena double-buffering; a
-    // couple more at high thread counts keep wide pools from
-    // serializing on replay once sampling has run ahead.
-    const std::size_t laneCount =
-        std::max<std::size_t>(2, std::min<std::size_t>(threads / 2, 4));
-    const std::size_t chunkSlots = threads + 2;
-    // Drain backpressure: hold ready chunks once the pending queues
-    // can already fill every lane, bounding queued realizations.
-    const std::size_t genHigh = std::max<std::size_t>(2, laneCount) *
-                                batchN;
-    const std::size_t zHigh = 2 * zBatchN;
-
-    std::mutex mu;
-    std::condition_variable cv;
-    std::exception_ptr error;
-    std::vector<Chunk> chunks(chunkSlots);
-    std::vector<std::size_t> freeChunks;
-    std::deque<std::size_t> readyChunks;
-    std::vector<Lane> lanes(laneCount);
-    std::vector<std::size_t> freeLanes;
-    std::deque<Pending> pendG, pendZ;
-    std::size_t nextShot = spec.shotBegin;
-    std::size_t resolved = 0; ///< units with their row written
-    unsigned inflight = 0;    ///< unfinished pool tasks (all kinds)
-    unsigned sampling = 0;    ///< unfinished sampling tasks
-    PipelineStats st;
-    st.pipelined = true;
-    st.threads = threads;
-    for (std::size_t i = 0; i < chunkSlots; ++i)
-        freeChunks.push_back(i);
-    for (std::size_t i = 0; i < laneCount; ++i)
-        freeLanes.push_back(i);
-
-    // --- pool task bodies -------------------------------------------
-    auto sampleChunk = [&](std::size_t ci) {
-        Chunk &c = chunks[ci];
-        const auto ts = Clock::now();
-        try {
-            c.general.clear();
-            c.zonly.clear();
-            c.emptyCount = 0;
-            if (c.reals.size() < c.nShots * npts)
-                c.reals.resize(c.nShots * npts);
-            for (std::size_t j = 0; j < c.nShots; ++j) {
-                const std::size_t s = c.firstShot + j;
-                CounterRng rng(spec.seed, s);
-                if (sweep) {
-                    const bool ok = noise.sampleFlatSweep(
-                        exec, rng, spec.factors.data(), npts,
-                        c.reals.data() + j * npts);
-                    QRAMSIM_ASSERT(ok, "noise model '", noise.name(),
-                                   "' has no sweep sampler");
-                } else {
-                    noise.sampleFlat(exec, rng, c.reals[j]);
-                }
-                const std::size_t rowBase =
-                    (s - spec.shotBegin) * npts;
-                for (std::size_t p = 0; p < npts; ++p) {
-                    const std::size_t u = j * npts + p;
-                    const FlatRealization &r = c.reals[u];
-                    if (r.empty()) {
-                        // Rows are disjoint across units, so the
-                        // cached result is written directly from the
-                        // sampling task.
-                        full[rowBase + p] = emptyFull;
-                        reduced[rowBase + p] = emptyReduced;
-                        ++c.emptyCount;
-                    } else if (r.zOnly) {
-                        c.zonly.push_back(
-                            static_cast<std::uint32_t>(u));
-                    } else {
-                        c.general.push_back(
-                            static_cast<std::uint32_t>(u));
-                    }
-                }
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mu);
-            if (!error)
-                error = std::current_exception();
-        }
-        c.sec = std::chrono::duration<double>(Clock::now() - ts)
-                    .count();
-        std::lock_guard<std::mutex> lock(mu);
-        --inflight;
-        --sampling;
-        readyChunks.push_back(ci);
-        cv.notify_all();
-    };
-
-    auto runLane = [&](std::size_t li) {
-        Lane &L = lanes[li];
-        try {
-            if (L.zOnly) {
-                const auto ts = Clock::now();
-                if (L.scratch.wss.empty())
-                    L.scratch.wss.resize(1);
-                for (std::size_t i = 0; i < L.count; ++i)
-                    shotZOnly(L.units[i].real, L.scratch.wss[0],
-                              full[L.units[i].row],
-                              reduced[L.units[i].row]);
-                L.zSec += std::chrono::duration<double>(Clock::now() -
-                                                        ts)
-                              .count();
-            } else {
-                if (L.batch.size() < L.count) {
-                    L.batch.resize(L.count);
-                    L.rows.resize(L.count);
-                }
-                for (std::size_t i = 0; i < L.count; ++i) {
-                    L.batch[i] = &L.units[i].real;
-                    L.rows[i] = L.units[i].row;
-                }
-                evalGeneralBatch(L.batch.data(), L.rows.data(),
-                                 L.count, L.scratch, full, reduced,
-                                 &L.times);
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mu);
-            if (!error)
-                error = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        --inflight;
-        resolved += L.count;
-        freeLanes.push_back(li);
-        cv.notify_all();
-    };
-
-    // --- coordinator ------------------------------------------------
-    std::unique_lock<std::mutex> lock(mu);
-    auto samplingDone = [&] {
-        return nextShot >= spec.shotEnd && sampling == 0 &&
-               readyChunks.empty();
-    };
-    auto dispatchLane = [&](std::deque<Pending> &pend,
-                            std::size_t want, bool zOnly) {
-        Lane &L = lanes[freeLanes.back()];
-        const std::size_t li = freeLanes.back();
-        freeLanes.pop_back();
-        const std::size_t take = std::min(want, pend.size());
-        if (L.units.size() < take)
-            L.units.resize(take);
-        for (std::size_t i = 0; i < take; ++i) {
-            L.units[i] = std::move(pend.front());
-            pend.pop_front();
-        }
-        L.count = take;
-        L.zOnly = zOnly;
-        ++inflight;
-        if (!zOnly)
-            ++st.batches;
-        pool.post([&runLane, li] { runLane(li); });
-    };
-
-    while (resolved < totalUnits && !error) {
-        bool progress = false;
-
-        // Drain sampled chunks into the pending queues (coordinator
-        // work, costs no task slot), recycling the chunk slot.
-        while (!readyChunks.empty() && pendG.size() < genHigh &&
-               pendZ.size() < zHigh) {
-            const std::size_t ci = readyChunks.front();
-            readyChunks.pop_front();
-            Chunk &c = chunks[ci];
-            st.sampleSec += c.sec;
-            resolved += c.emptyCount;
-            const std::size_t rowBase =
-                (c.firstShot - spec.shotBegin) * npts;
-            for (std::uint32_t u : c.general)
-                pendG.push_back(
-                    {std::move(c.reals[u]), rowBase + u});
-            for (std::uint32_t u : c.zonly)
-                pendZ.push_back(
-                    {std::move(c.reals[u]), rowBase + u});
-            freeChunks.push_back(ci);
-            progress = true;
-        }
-
-        // Replay lanes first — the critical path — then Z batches,
-        // then sampling with whatever task budget remains.
-        while (!freeLanes.empty() && inflight < threads &&
-               (pendG.size() >= batchN ||
-                (samplingDone() && !pendG.empty()))) {
-            dispatchLane(pendG, batchN, /*zOnly=*/false);
-            progress = true;
-        }
-        while (!freeLanes.empty() && inflight < threads &&
-               (pendZ.size() >= zBatchN ||
-                (samplingDone() && !pendZ.empty()))) {
-            dispatchLane(pendZ, zBatchN, /*zOnly=*/true);
-            progress = true;
-        }
-        while (nextShot < spec.shotEnd && !freeChunks.empty() &&
-               inflight < threads) {
-            const std::size_t ci = freeChunks.back();
-            freeChunks.pop_back();
-            Chunk &c = chunks[ci];
-            c.firstShot = nextShot;
-            c.nShots =
-                std::min(kShotChunk, spec.shotEnd - nextShot);
-            nextShot += c.nShots;
-            ++inflight;
-            ++sampling;
-            pool.post([&sampleChunk, ci] { sampleChunk(ci); });
-            progress = true;
-        }
-
-        if (!progress)
-            cv.wait(lock);
-    }
-
-    // Quiesce before touching any shared state (mandatory on the
-    // error path: in-flight tasks still reference this frame).
-    cv.wait(lock, [&] { return inflight == 0; });
-    lock.unlock();
-    if (error)
-        std::rethrow_exception(error);
-
-    for (const Lane &L : lanes) {
-        st.gatherSec += L.times.gather;
-        st.replaySec += L.times.replay;
-        // The Z fast path never gathers or replays; its work is
-        // accumulation.
-        st.accumulateSec += L.times.accumulate + L.zSec;
-    }
-    st.wallSec =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    std::lock_guard<std::mutex> statsLock(poolMu);
-    pstats = st;
 }
 
 /**
@@ -1267,7 +830,7 @@ FidelityEstimator::runShardAdaptive(const NoiseModel &noise,
     const double zq = stats::normalZ(pol.confidence);
     const std::size_t batchN = std::max<std::size_t>(1, pol.batch);
     const unsigned threads = spec.resolvedThreads();
-    const auto wallBegin = std::chrono::steady_clock::now();
+    const Clock::time_point wallBegin = Clock::now();
 
     constexpr std::size_t kWarmup = 32;
     constexpr std::size_t kMinKeep = 8;
@@ -1477,11 +1040,8 @@ FidelityEstimator::runShardAdaptive(const NoiseModel &noise,
 
     {
         PipelineStats st;
-        st.pipelined = false;
         st.threads = threads;
-        st.wallSec = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - wallBegin)
-                         .count();
+        st.wallSec = secondsSince(wallBegin);
         std::lock_guard<std::mutex> lock(poolMu);
         pstats = st;
     }
@@ -1516,7 +1076,7 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
     const std::size_t n = spec.shots();
 
     const unsigned threads = spec.resolvedThreads();
-    const auto wallBegin = std::chrono::steady_clock::now();
+    const Clock::time_point wallBegin = Clock::now();
 
     // Summary-only mode (estimate()/estimateSweep() single-threaded):
     // values are reduced chunk by chunk in shot order — identical
@@ -1540,9 +1100,10 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
 
     // The per-chunk evaluation bodies (plain estimate vs sweep),
     // shared by every stream/thread dispatch below. Each evaluates
-    // global shots [begin, end) using makeRng(s) for shot s's draws.
+    // global shots [begin, end) using makeRng(s) for shot s's draws
+    // and leaves its stage times in `times`.
     auto plainRange = [&](auto makeRng, std::size_t begin,
-                          std::size_t end) {
+                          std::size_t end, StageTimes &times) {
         std::vector<FlatRealization> reals(std::min<std::size_t>(
             std::max<std::size_t>(1, end - begin), kShotChunk));
         EvalScratch scratch;
@@ -1554,10 +1115,12 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
         for (std::size_t base = begin; base < end;
              base += kShotChunk) {
             const std::size_t nThis = std::min(kShotChunk, end - base);
+            const Clock::time_point ts = Clock::now();
             for (std::size_t j = 0; j < nThis; ++j) {
                 auto &&rng = makeRng(base + j);
                 noise.sampleFlat(exec, rng, reals[j]);
             }
+            scratch.times.sample += secondsSince(ts);
             double *fs = summaryOnly ? fbuf.data()
                                      : part.full.data() + rowsAt(base);
             double *rs = summaryOnly
@@ -1573,9 +1136,10 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
                 }
             }
         }
+        times = scratch.times;
     };
     auto sweepRange = [&](auto makeRng, std::size_t begin,
-                          std::size_t end) {
+                          std::size_t end, StageTimes &times) {
         std::vector<FlatRealization> reals(npts);
         EvalScratch scratch;
         std::vector<double> fbuf, rbuf;
@@ -1584,11 +1148,13 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
             rbuf.resize(npts);
         }
         for (std::size_t s = begin; s < end; ++s) {
+            const Clock::time_point ts = Clock::now();
             auto &&rng = makeRng(s);
             const bool ok = noise.sampleFlatSweep(
                 exec, rng, spec.factors.data(), npts, reals.data());
             QRAMSIM_ASSERT(ok, "noise model '", noise.name(),
                            "' has no sweep sampler");
+            scratch.times.sample += secondsSince(ts);
             // One shot's sweep points replay as one ensemble batch.
             double *fs = summaryOnly ? fbuf.data()
                                      : part.full.data() + rowsAt(s);
@@ -1604,9 +1170,12 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
                 }
             }
         }
+        times = scratch.times;
     };
 
-    // Stream / thread dispatch, shared by both bodies.
+    // Stream / thread dispatch, shared by both bodies: one StageTimes
+    // slot per task, summed once every task has finished.
+    std::vector<StageTimes> taskTimes(std::max(1u, threads));
     auto dispatch = [&](auto &&range) {
         if (spec.stream == ShotStream::Sequential) {
             // The sequential stream draws shots [0, shotEnd) in order
@@ -1621,12 +1190,12 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
             for (std::size_t s = 0; s < spec.shotBegin; ++s)
                 noise.sampleFlat(exec, rng, skip);
             range([&](std::size_t) -> Rng & { return rng; },
-                  spec.shotBegin, spec.shotEnd);
+                  spec.shotBegin, spec.shotEnd, taskTimes[0]);
         } else if (threads <= 1) {
             range([&](std::size_t s) {
                       return CounterRng(spec.seed, s);
                   },
-                  spec.shotBegin, spec.shotEnd);
+                  spec.shotBegin, spec.shotEnd, taskTimes[0]);
         } else {
             // In-process shards: each pool task evaluates a
             // contiguous sub-range through the same counter streams.
@@ -1642,43 +1211,33 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
                     std::min(begin + chunk, spec.shotEnd);
                 if (begin >= end)
                     break;
-                group.run([&range, &spec, begin, end] {
+                StageTimes &slot = taskTimes[t];
+                group.run([&range, &spec, &slot, begin, end] {
                     range([&spec](std::size_t s) {
                               return CounterRng(spec.seed, s);
                           },
-                          begin, end);
+                          begin, end, slot);
                 });
             }
             group.wait();
         }
     };
-
-    // The pipelined executor takes over counter-stream multi-threaded
-    // runs (unless setPipeline(false) / QRAMSIM_PIPELINE=0 pins the
-    // phase-sequential A/B baseline); out-of-order sampling needs the
-    // per-shot counter streams, so sequential Mersenne runs always
-    // take the non-pipelined dispatch.
-    const bool usePipeline = pipelineOn &&
-                             spec.stream == ShotStream::Counter &&
-                             threads >= 2 && n > 0;
-    if (usePipeline)
-        runPipelined(noise, spec, threads, npts, part,
-                     poolFor(spec, threads));
-    else if (spec.factors.empty())
+    if (spec.factors.empty())
         dispatch(plainRange);
     else
         dispatch(sweepRange);
 
-    if (!usePipeline) {
-        // The pipelined executor publishes its own stage breakdown;
-        // every other path still reports wall time and mode so
-        // lastPipelineStats() always describes the latest run.
+    {
         PipelineStats st;
-        st.pipelined = false;
         st.threads = threads;
-        st.wallSec = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - wallBegin)
-                         .count();
+        st.wallSec = secondsSince(wallBegin);
+        for (const StageTimes &t : taskTimes) {
+            st.sampleSec += t.sample;
+            st.gatherSec += t.gather;
+            st.replaySec += t.replay;
+            st.accumulateSec += t.accumulate;
+            st.batches += t.batches;
+        }
         std::lock_guard<std::mutex> lock(poolMu);
         pstats = st;
     }

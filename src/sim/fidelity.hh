@@ -49,9 +49,10 @@
  *
  * All three produce bit-identical results to full propagation (the
  * ensemble applies the identical ordered flips and phase factors to
- * each path as the scalar engine). The shot loop can additionally run
- * on multiple threads with deterministic per-shot counter-based RNG
- * streams (see estimate()).
+ * each path as the scalar engine). The shot loop can additionally
+ * split its shot range across threads, each running the same batched
+ * loop, with deterministic per-shot counter-based RNG streams (see
+ * estimate()).
  */
 
 #ifndef QRAMSIM_SIM_FIDELITY_HH
@@ -103,19 +104,21 @@ struct FidelityResult
 
 /**
  * Stage accounting of one estimate/sweep/shard run. sampleSec..
- * accumulateSec are summed task-seconds per pipeline stage (they can
- * exceed wallSec when stages overlap — that excess IS the pipeline
- * win); occupancy() is the fraction of the worker-second budget
- * (threads x wall) the stages kept busy.
+ * accumulateSec are task-seconds per stage summed over the run's
+ * threads (each thread times its own sampling and its general replay
+ * batches; empty, Z-only and Scalar-oracle shots are booked to no
+ * stage); occupancy() is the fraction of the worker-second budget
+ * (threads x wall) the stages kept busy. Adaptive runs report only
+ * threads and wall time.
  */
 struct PipelineStats
 {
-    bool pipelined = false; ///< did the pipelined executor run?
+    bool pipelined = false; ///< always false (no pipelined executor)
     unsigned threads = 0;   ///< resolved worker count of the run
     double wallSec = 0.0;   ///< shot-loop wall time
-    double sampleSec = 0.0; ///< realization sampling + classification
+    double sampleSec = 0.0; ///< realization sampling
     double gatherSec = 0.0; ///< checkpoint-row gather into the arena
-    double replaySec = 0.0; ///< block/slot/scalar replay kernels
+    double replaySec = 0.0; ///< op-major block replay kernels
     double accumulateSec = 0.0; ///< deviation masks + overlap sums
     std::size_t batches = 0;    ///< general replay batches dispatched
 
@@ -168,21 +171,17 @@ class FidelityEstimator
 {
   public:
     /**
-     * Which engine replays general (X-containing) realizations. All
-     * three produce bit-identical results:
+     * Which engine replays general (X-containing) realizations. Both
+     * produce bit-identical results:
      *
      *  - Ensemble (default): op-major block replay — batched shots
      *    live in one fused EnsembleBlock arena and every op is
      *    decoded once and applied to all shots' rows in one
      *    contiguous block-kernel sweep;
-     *  - EnsembleSlots: the shot-major slot loop (one PathEnsemble
-     *    per batched shot, per-op per-shot kernel calls) — the
-     *    differential baseline the op-major speedup is measured
-     *    against;
      *  - Scalar: the path-by-path oracle kept for differential tests
      *    and as the perf baseline of the recorded ensemble speedup.
      */
-    enum class ReplayEngine { Ensemble, EnsembleSlots, Scalar };
+    enum class ReplayEngine { Ensemble, Scalar };
 
     /**
      * @param circuit      the query circuit (all non-address qubits
@@ -212,7 +211,8 @@ class FidelityEstimator
     void shotFidelity(const ErrorRealization &errors,
                       double &fullOut, double &reducedOut) const;
 
-    /** Fidelities of a flattened (position-sorted) realization. */
+    /** Fidelities of a flattened (position-sorted) realization (the
+     *  batched shot loop run on one shot). */
     void shotFidelity(const FlatRealization &errors,
                       double &fullOut, double &reducedOut) const;
 
@@ -224,8 +224,9 @@ class FidelityEstimator
      * the original estimator for a fixed seed. With threads > 1
      * (0 = hardware concurrency) shot s draws from its own
      * counter-based CounterRng(seed, s) stream (cheap to construct,
-     * no sequential seeking), so the result depends only on
-     * (seed, shots), not on the thread count, and agrees with the
+     * no sequential seeking) and each thread runs the shot loop over
+     * one contiguous slice of the range, so the result depends only
+     * on (seed, shots), not on the thread count, and agrees with the
      * sequential estimate within Monte Carlo error.
      *
      * Internally shots are sampled ahead in chunks (same RNG stream,
@@ -324,46 +325,22 @@ class FidelityEstimator
 
     /**
      * Set the number of general-realization shots replayed per
-     * batched ensemble pass (clamped to [1, kShotChunk]; default 16,
-     * overridable via the QRAMSIM_REPLAY_BATCH environment variable
-     * at construction). Any width produces bit-identical results —
-     * batching never changes per-shot values or reduction order —
-     * so this is purely a throughput knob (bench_kernels records the
-     * best width per host; 16 won on the op-major block path's
-     * contiguous arenas, where 8 was best for the slot loop's
-     * separate allocations). Returns the applied width. Not
-     * thread-safe against a concurrently running estimate.
+     * batched ensemble pass (clamped to [1, kShotChunk]; default 16).
+     * Any width produces bit-identical results — batching never
+     * changes per-shot values or reduction order — so this is purely
+     * a throughput knob (bench_kernels sweeps it and records the best
+     * width per host). Returns the applied width. Not thread-safe
+     * against a concurrently running estimate.
      */
     std::size_t setReplayBatch(std::size_t n);
 
     std::size_t replayBatch() const { return replayBatchN; }
 
     /**
-     * Enable/disable the pipelined shot executor (default on;
-     * overridable via the QRAMSIM_PIPELINE environment variable at
-     * construction). The pipeline engages for counter-stream runs
-     * with >= 2 effective threads — sampling chunks, Z-only batches
-     * and general replay batches become overlapped stage tasks on a
-     * persistent worker pool instead of phase-sequential per-thread
-     * shot ranges. Sequential Mersenne runs always keep the
-     * non-pipelined path. On/off is purely a scheduling choice:
-     * every per-shot row is keyed by global shot index and the
-     * reduction re-runs in global shot order, so results are
-     * bit-identical either way at every thread count and batch width
-     * (enforced by tests/test_pipeline.cc). Returns the applied
-     * value. Not thread-safe against a concurrently running
-     * estimate.
-     */
-    bool setPipeline(bool on);
-
-    bool pipeline() const { return pipelineOn; }
-
-    /**
      * Stage timing/occupancy of this estimator's most recent
      * estimate / estimateSweep / runShard call (valid once the call
-     * returned; stage fields are zero when the non-pipelined path
-     * ran). The A/B instrumentation behind the bench_simulator
-     * pipeline record fields.
+     * returned). The instrumentation behind the bench_simulator
+     * stage record fields and the perfbench per-layer trace.
      */
     PipelineStats lastPipelineStats() const;
 
@@ -388,13 +365,11 @@ class FidelityEstimator
      *  (runtime knob; see setReplayBatch). */
     std::size_t replayBatchN = 16;
 
-    /** Reusable per-thread scratch for shot evaluation. */
+    /** Reusable per-shot scratch for shot evaluation. */
     struct ShotWorkspace
     {
         PathState path;           ///< scalar replay state
-        PathEnsemble ens;         ///< ensemble replay state
         simd::AlignedWords parity; ///< Z-path sign bits per path
-        simd::AlignedWords dev;    ///< per-path deviation mask
         std::vector<std::uint32_t> devRows; ///< qubits with deviation
     };
 
@@ -417,24 +392,35 @@ class FidelityEstimator
         std::vector<std::uint64_t *> outOf;     ///< path -> its outs words
     };
 
-    /** Shot evaluation with caller-provided scratch. */
-    void shotFlat(const FlatRealization &errors, ShotWorkspace &ws,
-                  double &fullOut, double &reducedOut) const;
+    /** The Scalar engine's replay of a general realization: path by
+     *  path from the materialized per-path checkpoints. */
+    void shotScalar(const FlatRealization &errors, ShotWorkspace &ws,
+                    double &fullOut, double &reducedOut) const;
 
-    /** The Z-only fast path of shotFlat (no gate replayed at all). */
+    /** The Z-only fast path (no gate replayed at all). */
     void shotZOnly(const FlatRealization &errors, ShotWorkspace &ws,
                    double &fullOut, double &reducedOut) const;
 
-    /** Reusable per-caller scratch for evalShots (workspaces, the
+    /** Wall time per stage, summed over one thread's shot loop. */
+    struct StageTimes
+    {
+        double sample = 0.0;
+        double gather = 0.0;
+        double replay = 0.0;
+        double accumulate = 0.0;
+        std::size_t batches = 0; ///< general replay batches
+    };
+
+    /** Reusable per-thread scratch for evalShots (workspaces, the
      *  batched-replay queue, and the op-major block arena), so the
-     *  hot loop never allocates. */
+     *  hot loop never allocates; it also carries the thread's stage
+     *  times. */
     struct EvalScratch
     {
         std::vector<ShotWorkspace> wss;
         std::vector<std::size_t> queue;
-        std::vector<const FlatRealization *> ptrs;
-        std::vector<FeynmanExecutor::EnsembleReplaySlot> slots;
         AccumulateScratch accum;
+        StageTimes times;
 
         /// @name Op-major block replay (ReplayEngine::Ensemble)
         /// @{
@@ -448,38 +434,28 @@ class FidelityEstimator
     /**
      * Evaluate @p n presampled realizations into fs/rs. Empty and
      * Z-only realizations take their fast paths; general ones are
-     * replayed in batches of replayBatch() through one ensemble pass
-     * each (ReplayEngine::Scalar falls back to per-shot replay).
-     * Per-realization results are identical to shotFlat's.
+     * replayed in batches of replayBatch() through evalGeneralBatch
+     * (ReplayEngine::Scalar replays them one by one through
+     * shotScalar instead).
      */
     void evalShots(const FlatRealization *reals, std::size_t n,
                    EvalScratch &scratch, double *fs,
                    double *rs) const;
 
-    /** Wall time per stage of one general replay batch. */
-    struct StageTimes
-    {
-        double gather = 0.0;
-        double replay = 0.0;
-        double accumulate = 0.0;
-    };
-
     /**
-     * The batched general-realization evaluation core shared by the
-     * phase-sequential evalShots flush and the pipelined replay
-     * lanes: replay batch[0..qn) (all guaranteed non-empty and not
-     * Z-only) through the selected engine and write the per-shot
-     * fidelities to fs[rows[b]] / rs[rows[b]]. @p times, when
-     * non-null, accumulates the batch's gather/replay/accumulate
-     * stage wall times (the Scalar oracle books its whole replay
-     * under 'replay'). Identical arithmetic for any batch
-     * composition — per-shot values never depend on which other
-     * shots share the batch.
+     * The batched general-realization core of evalShots: replay
+     * reals[rows[b]] for b in [0, qn) (all guaranteed non-empty and
+     * not Z-only) op-major through one EnsembleBlock and write the
+     * per-shot fidelities to fs[rows[b]] / rs[rows[b]], adding the
+     * batch's gather / replay / accumulate wall times to
+     * scratch.times. Identical arithmetic for any batch composition —
+     * per-shot values never depend on which other shots share the
+     * batch.
      */
-    void evalGeneralBatch(const FlatRealization *const *batch,
+    void evalGeneralBatch(const FlatRealization *reals,
                           const std::size_t *rows, std::size_t qn,
-                          EvalScratch &scratch, double *fs, double *rs,
-                          StageTimes *times) const;
+                          EvalScratch &scratch, double *fs,
+                          double *rs) const;
 
     /**
      * The pool a spec's threaded execution runs on: spec.pool when
@@ -489,20 +465,6 @@ class FidelityEstimator
      * for concurrent in-process shards on one estimator).
      */
     ThreadPool &poolFor(const ShardSpec &spec, unsigned threads) const;
-
-    /**
-     * The pipelined shot executor (stage diagram in
-     * src/sim/README.md): a coordinator on the calling thread keeps
-     * sampling chunks, Z-only batches and general replay lanes in
-     * flight on @p pool, capped at @p threads concurrent tasks.
-     * Every result row is written at its global-shot-keyed index, so
-     * the caller's recomputeSums() reduction — and hence the final
-     * result — is bit-identical to the phase-sequential path.
-     * Counter streams only (sampling runs out of order).
-     */
-    void runPipelined(const NoiseModel &noise, const ShardSpec &spec,
-                      unsigned threads, std::size_t npts,
-                      PartialEstimate &part, ThreadPool &pool) const;
 
     /**
      * runShard body. With @p keepRows false AND a single-threaded
@@ -539,20 +501,14 @@ class FidelityEstimator
                                std::uint64_t seed,
                                unsigned threads) const;
 
-    /** Accumulation core shared by shotFlat and the empty-shot cache. */
+    /** Per-shot overlap sums shared by every shot kind and the
+     *  empty-shot cache. */
     struct ShotAccumulator;
 
     /**
-     * Ensemble-native accumulation of a replayed shot: deviation
-     * masks row-wise against the ideal cache, then accumulateShotRows.
-     */
-    void accumulateEnsembleShot(ShotWorkspace &ws, AccumulateScratch &as,
-                                ShotAccumulator &acc) const;
-
-    /**
-     * The layout-agnostic core of the ensemble accumulation: qubit q
-     * of the shot's noisy output lives at rows + q * stride (a
-     * PathEnsemble, or one shot's slice view of an EnsembleBlock),
+     * The ensemble accumulation of one replayed shot: qubit q of the
+     * shot's noisy output lives at rows + q * stride (one shot's
+     * slice view of an EnsembleBlock),
      * @p dev is the shot's ready-made per-path deviation mask and
      * @p devRows its deviating qubits in ascending order. Visible
      * keys come from a word transpose of the visible rows; only the
@@ -674,9 +630,6 @@ class FidelityEstimator
     /** Cached shot result of the empty realization. */
     double emptyFull = 0.0;
     double emptyReduced = 0.0;
-
-    /** Pipelined executor on/off (see setPipeline). */
-    bool pipelineOn = true;
 
     /** Estimation policy of estimate()/estimateSweep()
      *  (setEstimateMode). */

@@ -318,18 +318,19 @@ struct CompiledEntry
 };
 
 /** The resident-estimator identity: everything that changes the
- *  OBJECT (not the result — results are engine/pipeline-invariant,
- *  which is why these knobs are absent from the result key). */
+ *  OBJECT (not the result — results are engine-invariant, which is
+ *  why the engine is absent from the result key). The engine enters
+ *  as the resolved pin, so "--engine ensemble" and no --engine share
+ *  one estimator. */
 std::string
-compiledCacheKey(const tool::RunOptions &opt)
+compiledCacheKey(const tool::RunOptions &opt, ReplayPin replay)
 {
     char buf[192];
     std::snprintf(buf, sizeof buf,
-                  "arch=%s;m=%u;k=%u;mem-seed=%llu;engine=%s;"
-                  "pipeline=%d",
+                  "arch=%s;m=%u;k=%u;mem-seed=%llu;engine=%s",
                   opt.w.arch.c_str(), opt.w.m, opt.w.k,
                   static_cast<unsigned long long>(opt.w.memSeed),
-                  opt.engine.c_str(), opt.pipeline);
+                  replay == ReplayPin::Scalar ? "scalar" : "ensemble");
     return buf;
 }
 
@@ -589,7 +590,7 @@ Server::handle(const std::vector<std::string> &args)
 
     CompiledCache::Result res;
     const bool built = compiled_.acquire(
-        compiledCacheKey(opt),
+        compiledCacheKey(opt, spec.replay),
         [&](std::string *berr) -> std::shared_ptr<void> {
             try {
                 auto e = std::make_shared<CompiledEntry>();
@@ -598,12 +599,10 @@ Server::handle(const std::vector<std::string> &args)
                     e->qc.circuit, e->qc.addressQubits, e->qc.busQubit,
                     AddressSuperposition::uniform(
                         opt.w.addressWidth()));
-                // Engine/pipeline pins mutate the estimator, which is
-                // only legal here, before the entry is shared: once
+                // Engine pins mutate the estimator, which is only
+                // legal here, before the entry is shared: once
                 // resident it runs concurrent disjoint shards.
                 applyShardPins(*e->est, spec);
-                if (opt.pipeline >= 0)
-                    e->est->setPipeline(opt.pipeline != 0);
                 return e;
             } catch (const std::exception &ex) {
                 if (berr)

@@ -53,9 +53,6 @@ applyShardPins(FidelityEstimator &est, const ShardSpec &spec)
 {
     if (spec.replay == ReplayPin::Ensemble)
         est.setReplayEngine(FidelityEstimator::ReplayEngine::Ensemble);
-    else if (spec.replay == ReplayPin::Slots)
-        est.setReplayEngine(
-            FidelityEstimator::ReplayEngine::EnsembleSlots);
     else if (spec.replay == ReplayPin::Scalar)
         est.setReplayEngine(FidelityEstimator::ReplayEngine::Scalar);
     if (!spec.simdTier.empty()) {

@@ -86,9 +86,9 @@ const char *shotStreamName(ShotStream s);
 bool parseShotStream(const std::string &name, ShotStream &out);
 
 /** Optional replay-engine pin carried by a ShardSpec ("ensemble" =
- *  the default op-major block replay, "slots" = the shot-major slot
- *  loop baseline, "scalar" = the path-by-path oracle). */
-enum class ReplayPin : std::uint8_t { Keep = 0, Ensemble, Slots, Scalar };
+ *  the default op-major block replay, "scalar" = the path-by-path
+ *  oracle). */
+enum class ReplayPin : std::uint8_t { Keep = 0, Ensemble, Scalar };
 
 /**
  * Which estimation policy a shard runs under.
@@ -168,7 +168,7 @@ struct ShardSpec
     unsigned threads = 1;
 
     /**
-     * Worker pool this shard's threaded/pipelined execution runs on.
+     * Worker pool this shard's threaded execution runs on.
      * nullptr (the default, and the value after deserialization — the
      * pool is process-local, never part of the JSON wire format) means
      * the estimator uses its own lazily created persistent pool.

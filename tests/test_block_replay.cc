@@ -4,15 +4,15 @@
  * the estimator's block accumulation).
  *
  * The transposed engine's contract is byte-identity: every shot of an
- * op-major block replay must equal its solo slot-loop replay — bits
- * and phases — and the estimator must produce bit-identical results
- * through ReplayEngine::Ensemble (op-major), EnsembleSlots (shot-major
- * slot loop) and Scalar (path-by-path oracle) at every replay-batch
- * width in [1, 64], across architectures, noise kinds, SIMD tiers,
- * checkpoint joins, ragged tail batches, degenerate inputs and the
- * threaded shot loop. Plus the EnsembleBlock layout invariants the
- * block kernels assume and kernel-level differentials for the block
- * kernel tier implementations.
+ * op-major block replay must equal its solo runSpanEnsemble replay —
+ * bits and phases — and the estimator must produce bit-identical
+ * results through ReplayEngine::Ensemble (op-major) and Scalar
+ * (path-by-path oracle) at every replay-batch width in [1, 64],
+ * across architectures, noise kinds, SIMD tiers, checkpoint joins,
+ * ragged tail batches, degenerate inputs and the threaded shot
+ * loop. Plus the EnsembleBlock layout invariants the block kernels
+ * assume and kernel-level differentials for the block kernel tier
+ * implementations.
  */
 
 #include <gtest/gtest.h>
@@ -260,19 +260,19 @@ TEST(BlockKernels, MatchScalarReferenceAcrossTiers)
     }
 }
 
-// --- Executor-level: op-major vs slot loop ----------------------------
+// --- Executor-level: op-major vs per-shot replay ----------------------
 
 /**
- * Drive runSpanEnsembleBlock and runSpanEnsembleBatch over the same
- * shots (random start ensembles advanced to per-shot join positions,
- * per-shot event lists) and require every shot's bits and phases to
- * match word for word and value for value.
+ * Drive runSpanEnsembleBlock over a batch of shots and runSpanEnsemble
+ * over each shot alone (random start ensembles advanced to per-shot
+ * join positions, per-shot event lists) and require every shot's bits
+ * and phases to match word for word and value for value.
  */
 void
-expectBlockMatchesSlots(const FeynmanExecutor &exec,
-                        const std::vector<std::uint32_t> &froms,
-                        const std::vector<std::vector<FlatEvent>> &evs,
-                        std::size_t np, Rng &rng)
+expectBlockMatchesPerShot(const FeynmanExecutor &exec,
+                          const std::vector<std::uint32_t> &froms,
+                          const std::vector<std::vector<FlatEvent>> &evs,
+                          std::size_t np, Rng &rng)
 {
     const std::size_t nq = exec.circuit().numQubits();
     const std::uint32_t numOps =
@@ -281,7 +281,7 @@ expectBlockMatchesSlots(const FeynmanExecutor &exec,
 
     // Random inputs advanced (noiselessly) to each shot's join
     // position — the checkpoint-gather shape of the estimator.
-    std::vector<PathEnsemble> slotEns;
+    std::vector<PathEnsemble> soloEns;
     EnsembleBlock blk;
     blk.reshape(nq, np, n);
     std::vector<FeynmanExecutor::BlockReplayShot> shots(n);
@@ -293,21 +293,21 @@ expectBlockMatchesSlots(const FeynmanExecutor &exec,
         exec.runSpanEnsemble(e, 0, froms[b], nullptr, 0);
         blk.loadShot(b, e);
         shots[b] = {evs[b].data(), evs[b].size(), froms[b], 0};
-        slotEns.push_back(std::move(e));
+        soloEns.push_back(std::move(e));
     }
 
     exec.runSpanEnsembleBlock(blk, shots.data(), numOps);
 
     for (std::size_t b = 0; b < n; ++b) {
         SCOPED_TRACE(testing::Message() << "shot " << b);
-        exec.runSpanEnsemble(slotEns[b], froms[b], numOps,
+        exec.runSpanEnsemble(soloEns[b], froms[b], numOps,
                              evs[b].data(), evs[b].size());
         for (std::size_t q = 0; q < nq; ++q)
             for (std::size_t w = 0; w < blk.wordsPerQubit(); ++w)
-                EXPECT_EQ(blk.row(q, b)[w], slotEns[b].row(q)[w])
+                EXPECT_EQ(blk.row(q, b)[w], soloEns[b].row(q)[w])
                     << "q=" << q << " w=" << w;
         for (std::size_t k = 0; k < np; ++k)
-            EXPECT_EQ(blk.phaseSlice(b)[k], slotEns[b].phase(k))
+            EXPECT_EQ(blk.phaseSlice(b)[k], soloEns[b].phase(k))
                 << "path " << k;
         // Zero-tail invariant holds through the block replay.
         for (std::size_t q = 0; q < nq; ++q)
@@ -316,7 +316,7 @@ expectBlockMatchesSlots(const FeynmanExecutor &exec,
     }
 }
 
-TEST(BlockReplay, MixedJoinsAndEventsMatchSlotLoop)
+TEST(BlockReplay, MixedJoinsAndEventsMatchPerShotReplay)
 {
     Rng rng(90125);
     Memory mem = Memory::random(3, rng);
@@ -367,12 +367,12 @@ TEST(BlockReplay, MixedJoinsAndEventsMatchSlotLoop)
                 froms.push_back(from);
                 evs.push_back(std::move(ev));
             }
-            expectBlockMatchesSlots(exec, froms, evs, 65, rng);
+            expectBlockMatchesPerShot(exec, froms, evs, 65, rng);
         }
     }
 }
 
-// --- Estimator-level: three engines, all architectures ----------------
+// --- Estimator-level: both engines, all architectures -----------------
 
 TEST(BlockReplay, EnginesBitIdenticalAllArchitecturesAllNoise)
 {
@@ -427,28 +427,19 @@ TEST(BlockReplay, EnginesBitIdenticalAllArchitecturesAllNoise)
                     FidelityEstimator::ReplayEngine::Ensemble);
                 const FidelityResult block =
                     est.estimate(noise, shots, seed);
-                est.setReplayEngine(
-                    FidelityEstimator::ReplayEngine::EnsembleSlots);
-                const FidelityResult slots =
-                    est.estimate(noise, shots, seed);
+                const FidelityResult blockMt =
+                    est.estimate(noise, shots, seed, 3);
                 est.setReplayEngine(
                     FidelityEstimator::ReplayEngine::Scalar);
                 const FidelityResult scalar =
                     est.estimate(noise, shots, seed);
-                expectResultsEq(block, slots);
                 expectResultsEq(block, scalar);
 
                 // Threaded (counter-stream) mode agrees across the
-                // block and slot engines too.
-                est.setReplayEngine(
-                    FidelityEstimator::ReplayEngine::Ensemble);
-                const FidelityResult blockMt =
+                // block and scalar engines too.
+                const FidelityResult scalarMt =
                     est.estimate(noise, shots, seed, 3);
-                est.setReplayEngine(
-                    FidelityEstimator::ReplayEngine::EnsembleSlots);
-                const FidelityResult slotsMt =
-                    est.estimate(noise, shots, seed, 3);
-                expectResultsEq(blockMt, slotsMt);
+                expectResultsEq(blockMt, scalarMt);
             }
             est.setReplayEngine(
                 FidelityEstimator::ReplayEngine::Ensemble);
@@ -471,8 +462,7 @@ TEST(BlockReplay, EveryBatchWidthBitIdentical)
     const std::size_t shots = 48;
     const std::uint64_t seed = 2027;
 
-    est.setReplayEngine(FidelityEstimator::ReplayEngine::EnsembleSlots);
-    est.setReplayBatch(1);
+    est.setReplayEngine(FidelityEstimator::ReplayEngine::Scalar);
     const FidelityResult ref = est.estimate(depol, shots, seed);
 
     est.setReplayEngine(FidelityEstimator::ReplayEngine::Ensemble);
@@ -488,8 +478,8 @@ TEST(BlockReplay, MixedCheckpointJoinsInOneBatch)
     // A deeper circuit gets many replay checkpoints; with sparse
     // depolarizing noise, shots of one batch start from different
     // checkpoints (different first-event positions) — the per-shot
-    // join masks of the op-major pass. Identity against the slot
-    // loop proves the joins are exact.
+    // join masks of the op-major pass. Identity against the scalar
+    // oracle proves the joins are exact.
     Rng rng(8086);
     Memory mem = Memory::random(5, rng);
     QueryCircuit qc = BucketBrigadeQram(5).build(mem);
@@ -499,9 +489,9 @@ TEST(BlockReplay, MixedCheckpointJoinsInOneBatch)
     est.setReplayBatch(16);
 
     const FidelityResult block = est.estimate(depol, 64, 11);
-    est.setReplayEngine(FidelityEstimator::ReplayEngine::EnsembleSlots);
-    const FidelityResult slots = est.estimate(depol, 64, 11);
-    expectResultsEq(block, slots);
+    est.setReplayEngine(FidelityEstimator::ReplayEngine::Scalar);
+    const FidelityResult scalar = est.estimate(depol, 64, 11);
+    expectResultsEq(block, scalar);
 }
 
 TEST(BlockReplay, DuplicateVisibleKeysThroughBlockPath)
@@ -527,12 +517,8 @@ TEST(BlockReplay, DuplicateVisibleKeysThroughBlockPath)
         est.setReplayBatch(width);
         est.setReplayEngine(FidelityEstimator::ReplayEngine::Ensemble);
         const FidelityResult block = est.estimate(depol, 40, 91);
-        est.setReplayEngine(
-            FidelityEstimator::ReplayEngine::EnsembleSlots);
-        const FidelityResult slots = est.estimate(depol, 40, 91);
         est.setReplayEngine(FidelityEstimator::ReplayEngine::Scalar);
         const FidelityResult scalar = est.estimate(depol, 40, 91);
-        expectResultsEq(block, slots);
         expectResultsEq(block, scalar);
     }
 }

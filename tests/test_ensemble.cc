@@ -382,9 +382,8 @@ seedEstimate(const Circuit &circuit, const std::vector<Qubit> &addr,
 }
 
 /**
- * Estimate under both replay engines, sequentially and pipelined on 2
- * threads (counter streams), and with the seed replica; require
- * bit-identity.
+ * Estimate under both replay engines, sequentially and on 2 threads
+ * (counter streams), and with the seed replica; require bit-identity.
  */
 void
 expectEnginesAndSeedAgree(const Circuit &circuit,
@@ -394,7 +393,6 @@ expectEnginesAndSeedAgree(const Circuit &circuit,
                           std::uint64_t seed)
 {
     FidelityEstimator est(circuit, addr, bus, input);
-    est.setPipeline(true);
     FidelityResult ensemble = est.estimate(noise, shots, seed);
     FidelityResult ensemble2 = est.estimate(noise, shots, seed, 2);
     est.setReplayEngine(FidelityEstimator::ReplayEngine::Scalar);

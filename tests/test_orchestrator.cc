@@ -714,8 +714,10 @@ TEST(OrchestratorCli, ShardExitCodesFollowTheContract)
                      quiet),
               0);
     // 2: usage — unknown flag, malformed value, bad subcommand,
-    // unknown arch/noise, shard index out of range.
+    // unknown arch/noise/engine, shard index out of range.
     EXPECT_EQ(shCode(shard + run + " --bogus 1" + quiet), 2);
+    EXPECT_EQ(shCode(shard + run + " --pipeline on" + quiet), 2);
+    EXPECT_EQ(shCode(shard + run + " --engine slots" + quiet), 2);
     EXPECT_EQ(shCode(shard + run + " --m nope" + quiet), 2);
     EXPECT_EQ(shCode(shard + " frobnicate" + quiet), 2);
     EXPECT_EQ(shCode(shard + run + " --arch cray" + quiet), 2);

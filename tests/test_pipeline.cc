@@ -1,13 +1,14 @@
 /**
  * @file
- * Pipelined-execution tests (the QRAMSIM_PIPELINE / setPipeline
- * executor of sim/fidelity.hh and the common/threadpool.hh it runs
- * on): bit-identity of the pipelined vs the phase-sequential path
- * across all architectures, noise channels, replay engines, SIMD
- * tiers, thread counts and batch widths; shard-merge identity with
- * the pipeline on; pool lifecycle (reuse across estimates, clean
- * shutdown, exception propagation out of a stage); and the strict
- * env parsing behind the knobs.
+ * Threaded shot-loop tests (the counter-stream TaskGroup dispatch of
+ * sim/fidelity.hh and the common/threadpool.hh it runs on):
+ * bit-identity of threaded runs with the single-threaded
+ * counter-stream shard across all architectures, noise channels,
+ * replay engines, SIMD tiers, thread counts, batch widths and sweeps;
+ * shard-merge identity with threaded shards; pool lifecycle (reuse
+ * across estimates, clean shutdown, exception propagation out of a
+ * task); the per-thread stage accounting; and the strict env parsing
+ * behind the runtime knobs.
  */
 
 #include <gtest/gtest.h>
@@ -65,6 +66,25 @@ struct TierGuard
     ~TierGuard() { simd::setActiveTier(prev); }
 };
 
+/**
+ * The whole shot range as one counter-stream shard on @p threads
+ * threads. With threads = 1 this is the plain single-threaded shot
+ * loop: the oracle every threaded run must reproduce bit for bit.
+ */
+std::vector<FidelityResult>
+counterShard(const FidelityEstimator &est, const NoiseModel &noise,
+             std::size_t shots, std::uint64_t seed, unsigned threads,
+             const std::vector<double> &factors = {})
+{
+    ShardSpec spec;
+    spec.shotEnd = spec.totalShots = shots;
+    spec.seed = seed;
+    spec.stream = ShotStream::Counter;
+    spec.threads = threads;
+    spec.factors = factors;
+    return est.runShard(noise, spec).finalize();
+}
+
 std::vector<simd::Tier>
 supportedTiers()
 {
@@ -119,22 +139,16 @@ TEST(Pipeline, BitIdenticalAllArchitecturesNoiseAndThreadCounts)
                               AddressSuperposition::uniform(a.width));
         for (const NoiseCase &nc : noises) {
             QubitChannelNoise noise(nc.rates);
+            const std::vector<FidelityResult> ref =
+                counterShard(est, noise, shots, seed, 1);
             for (unsigned threads : {1u, 2u, 7u}) {
                 SCOPED_TRACE(std::string(a.name) + " / " + nc.name +
                              " / threads=" +
                              std::to_string(threads));
-                est.setPipeline(false);
-                const FidelityResult ref =
-                    est.estimate(noise, shots, seed, threads);
-                EXPECT_FALSE(est.lastPipelineStats().pipelined);
-                est.setPipeline(true);
-                const FidelityResult pip =
-                    est.estimate(noise, shots, seed, threads);
-                expectResultsEq(pip, ref);
-                // The pipeline engages only where counter streams
-                // allow out-of-order sampling.
-                EXPECT_EQ(est.lastPipelineStats().pipelined,
-                          threads >= 2);
+                expectResultsEq(
+                    counterShard(est, noise, shots, seed, threads),
+                    ref);
+                EXPECT_EQ(est.lastPipelineStats().threads, threads);
             }
         }
     }
@@ -153,28 +167,24 @@ TEST(Pipeline, BitIdenticalAcrossEnginesAndSimdTiers)
 
     const FidelityEstimator::ReplayEngine engines[] = {
         FidelityEstimator::ReplayEngine::Ensemble,
-        FidelityEstimator::ReplayEngine::EnsembleSlots,
         FidelityEstimator::ReplayEngine::Scalar,
     };
-    const char *engineNames[] = {"ensemble", "slots", "scalar"};
+    const char *engineNames[] = {"ensemble", "scalar"};
 
-    // The cross-engine/tier oracle: phase-sequential block replay.
-    est.setPipeline(false);
-    const FidelityResult oracle = est.estimate(noise, shots, seed, 2);
+    // The cross-engine/tier oracle: single-threaded block replay.
+    const FidelityResult oracle =
+        counterShard(est, noise, shots, seed, 1).front();
 
     for (simd::Tier tier : supportedTiers()) {
         TierGuard guard(tier);
-        for (std::size_t e = 0; e < 3; ++e) {
+        for (std::size_t e = 0; e < 2; ++e) {
             est.setReplayEngine(engines[e]);
             for (unsigned threads : {2u, 7u}) {
                 SCOPED_TRACE(std::string(simd::tierName(tier)) +
                              " / " + engineNames[e] + " / threads=" +
                              std::to_string(threads));
-                est.setPipeline(true);
-                const FidelityResult pip =
-                    est.estimate(noise, shots, seed, threads);
-                EXPECT_TRUE(est.lastPipelineStats().pipelined);
-                expectResultsEq(pip, oracle);
+                expectResultsEq(
+                    est.estimate(noise, shots, seed, threads), oracle);
             }
         }
     }
@@ -192,10 +202,9 @@ TEST(Pipeline, BitIdenticalAtEveryBatchWidth)
     const std::size_t shots = 48;
     const std::uint64_t seed = 12345;
 
-    est.setPipeline(false);
-    const FidelityResult ref = est.estimate(noise, shots, seed, 2);
+    const FidelityResult ref =
+        counterShard(est, noise, shots, seed, 1).front();
 
-    est.setPipeline(true);
     for (std::size_t width = 1; width <= 64; ++width) {
         SCOPED_TRACE("batch width " + std::to_string(width));
         ASSERT_EQ(est.setReplayBatch(width), width);
@@ -203,7 +212,7 @@ TEST(Pipeline, BitIdenticalAtEveryBatchWidth)
     }
 }
 
-TEST(Pipeline, SweepBitIdenticalToPhaseSequential)
+TEST(Pipeline, SweepBitIdenticalToSingleThread)
 {
     Rng rng(99);
     Memory mem = Memory::random(3, rng);
@@ -218,24 +227,21 @@ TEST(Pipeline, SweepBitIdenticalToPhaseSequential)
     QubitChannelNoise qubit(PauliRates::bitFlip(3e-3));
     const NoiseModel *models[] = {&gate, &qubit};
     for (const NoiseModel *noise : models) {
+        const std::vector<FidelityResult> ref =
+            counterShard(est, *noise, shots, seed, 1, factors);
         for (unsigned threads : {2u, 7u}) {
             SCOPED_TRACE(noise->name() + " / threads=" +
                          std::to_string(threads));
-            est.setPipeline(false);
-            const std::vector<FidelityResult> ref = est.estimateSweep(
-                *noise, factors, shots, seed, threads);
-            est.setPipeline(true);
-            const std::vector<FidelityResult> pip = est.estimateSweep(
-                *noise, factors, shots, seed, threads);
-            EXPECT_TRUE(est.lastPipelineStats().pipelined);
-            expectResultsEq(pip, ref);
+            expectResultsEq(est.estimateSweep(*noise, factors, shots,
+                                              seed, threads),
+                            ref);
         }
     }
 }
 
 // --- Sharding ----------------------------------------------------------
 
-TEST(Pipeline, ShardMergeBitIdenticalWithPipelineOn)
+TEST(Pipeline, ShardMergeBitIdenticalToSingleThread)
 {
     Rng rng(2024);
     Memory mem = Memory::random(3, rng);
@@ -246,11 +252,10 @@ TEST(Pipeline, ShardMergeBitIdenticalWithPipelineOn)
     const std::size_t shots = 48;
     const std::uint64_t seed = 777;
 
-    // The whole-range threaded run, phase-sequential: the oracle
-    // every pipelined partition must reproduce bit for bit.
-    est.setPipeline(false);
-    const FidelityResult ref = est.estimate(noise, shots, seed, 2);
-    est.setPipeline(true);
+    // The whole range on one thread: the oracle every partition of
+    // threaded shards must reproduce bit for bit.
+    const FidelityResult ref =
+        counterShard(est, noise, shots, seed, 1).front();
 
     ThreadPool shared(3);
     for (std::size_t nShards : {1u, 2u, 5u}) {
@@ -483,45 +488,16 @@ TEST(Pipeline, StageExceptionPropagatesToTheCaller)
                           AddressSuperposition::uniform(3));
     ThrowingNoise boom(PauliRates::depolarizing(4e-3), 40);
 
-    est.setPipeline(true);
-    EXPECT_THROW(est.estimate(boom, 256, 1, 3), std::runtime_error);
-    // The non-pipelined threaded path propagates through TaskGroup
-    // too (the old spawn/join loop would have std::terminate'd).
-    est.setPipeline(false);
+    // The threaded path propagates through TaskGroup (the old
+    // spawn/join loop would have std::terminate'd).
     EXPECT_THROW(est.estimate(boom, 256, 1, 3), std::runtime_error);
     // The estimator (and its pool) must remain usable afterwards.
-    est.setPipeline(true);
     QubitChannelNoise fine(PauliRates::depolarizing(4e-3));
     const FidelityResult after = est.estimate(fine, 24, 5, 2);
     EXPECT_GT(after.shots, 0u);
 }
 
 // --- Knobs and env parsing ---------------------------------------------
-
-TEST(Pipeline, EnvKnobSelectsTheExecutor)
-{
-    Rng rng(8);
-    Memory mem = Memory::random(2, rng);
-    QueryCircuit qc = FanoutQram(2).build(mem);
-    auto make = [&] {
-        return FidelityEstimator(qc.circuit, qc.addressQubits,
-                                 qc.busQubit,
-                                 AddressSuperposition::uniform(2));
-    };
-
-    ASSERT_EQ(setenv("QRAMSIM_PIPELINE", "0", 1), 0);
-    EXPECT_FALSE(make().pipeline());
-    ASSERT_EQ(setenv("QRAMSIM_PIPELINE", "on", 1), 0);
-    EXPECT_TRUE(make().pipeline());
-    // Garbage is rejected loudly and the default (on) kept.
-    ASSERT_EQ(setenv("QRAMSIM_PIPELINE", "maybe", 1), 0);
-    EXPECT_TRUE(make().pipeline());
-    ASSERT_EQ(unsetenv("QRAMSIM_PIPELINE"), 0);
-    FidelityEstimator est = make();
-    EXPECT_TRUE(est.pipeline());
-    EXPECT_FALSE(est.setPipeline(false));
-    EXPECT_TRUE(est.setPipeline(true));
-}
 
 TEST(Pipeline, StrictEnvParsingRejectsGarbageAndOverflow)
 {
@@ -564,21 +540,20 @@ TEST(Pipeline, StatsReportStagesAndOccupancy)
                           AddressSuperposition::uniform(3));
     QubitChannelNoise noise(PauliRates::depolarizing(1e-2));
 
-    est.setPipeline(true);
+    // Each thread times its own sampling and general replay batches;
+    // the sums cover the threaded run's whole stage split.
     est.estimate(noise, 128, 9, 2);
     const PipelineStats st = est.lastPipelineStats();
-    EXPECT_TRUE(st.pipelined);
+    EXPECT_FALSE(st.pipelined);
     EXPECT_EQ(st.threads, 2u);
     EXPECT_GT(st.wallSec, 0.0);
     EXPECT_GT(st.sampleSec, 0.0);
+    EXPECT_GT(st.gatherSec, 0.0);
+    EXPECT_GT(st.replaySec, 0.0);
+    EXPECT_GT(st.accumulateSec, 0.0);
     EXPECT_GT(st.batches, 0u);
-    EXPECT_GT(st.busySec(), 0.0);
     EXPECT_GT(st.occupancy(), 0.0);
-
-    est.setPipeline(false);
-    est.estimate(noise, 64, 9, 2);
-    EXPECT_FALSE(est.lastPipelineStats().pipelined);
-    EXPECT_EQ(est.lastPipelineStats().threads, 2u);
+    EXPECT_LE(st.occupancy(), 1.0);
 }
 
 } // namespace

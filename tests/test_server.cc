@@ -528,8 +528,7 @@ TEST(ResultKey, FlagOrderAndSpellingCanonicalize)
               keyOf({"--arch", "bb", "--m", "4", "--noise",
                      "gate-depol", "--eps", "2e-3", "--shots", "64",
                      "--seed", "7", "--factors", "0.5,1,2",
-                     "--threads", "8", "--engine", "ensemble",
-                     "--pipeline", "on"}));
+                     "--threads", "8", "--engine", "ensemble"}));
 }
 
 TEST(ResultKey, SemanticChangesChangeTheKey)
@@ -619,6 +618,30 @@ TEST(Server, HandleCacheLadderAndRejections)
     EXPECT_EQ(2u, st.computed);
     EXPECT_EQ(1u, st.resultHits);
     EXPECT_EQ(3u, st.usageErrors);
+}
+
+TEST(Server, DefaultEngineSpellingsShareOneEstimator)
+{
+    // "--engine ensemble" names the engine a pin-less request gets, so
+    // the second shard must run on the estimator the first one built
+    // instead of compiling a second copy of the same object.
+    srv::ServerConfig cfg;
+    cfg.threads = 1;
+    srv::Server server(cfg);
+    const std::vector<std::string> shard0 = {
+        "--arch",  "bb", "--m",    "4", "--noise", "gate-depol",
+        "--eps",   "2e-3", "--shots", "32", "--seed", "7",
+        "--shard", "0/2"};
+    std::vector<std::string> shard1 = shard0;
+    shard1.back() = "1/2";
+    shard1.push_back("--engine");
+    shard1.push_back("ensemble");
+
+    ASSERT_EQ(0, server.handle(shard0).status);
+    const srv::ShardResponse warm = server.handle(shard1);
+    ASSERT_EQ(0, warm.status) << warm.error;
+    EXPECT_EQ("compiled", warm.cache);
+    EXPECT_EQ(1u, server.stats().compiledBuilds);
 }
 
 // --- The socket transport end to end -----------------------------------

@@ -434,7 +434,7 @@ TEST(Sharding, ReplayBatchWidthNeverChangesResults)
                           AddressSuperposition::uniform(3));
     GateNoise noise(PauliRates::depolarizing(5e-3));
 
-    // Default retuned to 16 for the op-major block path (PR 5).
+    // The default width, tuned on the op-major block path.
     EXPECT_EQ(est.replayBatch(), 16u);
     EXPECT_EQ(est.setReplayBatch(0), 1u);   // clamped low
     EXPECT_EQ(est.setReplayBatch(1000), 64u); // clamped high
@@ -448,27 +448,6 @@ TEST(Sharding, ReplayBatchWidthNeverChangesResults)
         expectResultsEq(est.estimate(noise, 48, 33), ref);
         expectResultsEq(est.estimate(noise, 48, 33, 3), refMt);
     }
-}
-
-TEST(Sharding, ReplayBatchEnvKnob)
-{
-    Rng rng(607);
-    Memory mem = Memory::random(2, rng);
-    QueryCircuit qc = FanoutQram(2).build(mem);
-    ASSERT_EQ(setenv("QRAMSIM_REPLAY_BATCH", "24", 1), 0);
-    FidelityEstimator est24(qc.circuit, qc.addressQubits, qc.busQubit,
-                            AddressSuperposition::uniform(2));
-    EXPECT_EQ(est24.replayBatch(), 24u);
-    ASSERT_EQ(setenv("QRAMSIM_REPLAY_BATCH", "9999", 1), 0);
-    FidelityEstimator estBig(qc.circuit, qc.addressQubits,
-                             qc.busQubit,
-                             AddressSuperposition::uniform(2));
-    EXPECT_EQ(estBig.replayBatch(), 64u); // clamped
-    ASSERT_EQ(unsetenv("QRAMSIM_REPLAY_BATCH"), 0);
-    FidelityEstimator estDef(qc.circuit, qc.addressQubits,
-                             qc.busQubit,
-                             AddressSuperposition::uniform(2));
-    EXPECT_EQ(estDef.replayBatch(), 16u); // block-path default
 }
 
 // --- CLI end to end ----------------------------------------------------

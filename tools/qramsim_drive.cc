@@ -468,8 +468,6 @@ main(int argc, char **argv)
         if (!tool::finishSpec(opt, pinSpec))
             return usage();
         applyShardPins(*est, pinSpec);
-        if (opt.pipeline >= 0)
-            est->setPipeline(opt.pipeline != 0);
         noise = opt.w.makeNoise();
         pool = std::make_unique<ThreadPool>(
             resolveThreads(opt.threads));

@@ -56,14 +56,12 @@
  *   --stream counter|sequential   shot RNG streams (default counter:
  *                 partition-invariant; sequential reproduces the
  *                 sequential estimator but fast-forwards shot 0..b)
- *   --threads T   in-process threads for this shard
- *   --pipeline on|off   force the pipelined shot executor on or off
- *                 (default: estimator default / QRAMSIM_PIPELINE; the
- *                 pipeline only engages for counter streams with
- *                 threads >= 2 and is bit-identical either way)
- *   --engine ensemble|slots|scalar  replay-engine pin (ensemble =
- *                                 op-major block replay, slots = the
- *                                 shot-major slot-loop baseline)
+ *   --threads T   in-process threads for this shard (counter streams
+ *                 split the shot range across them; bit-identical at
+ *                 every thread count)
+ *   --engine ensemble|scalar  replay-engine pin (ensemble = op-major
+ *                             block replay, scalar = the path-by-path
+ *                             oracle)
  *   --tier scalar|avx2|avx512     SIMD tier pin
  *   --adaptive    run the shard under EstimateMode::Adaptive: --shots
  *                 becomes the raw-draw budget, the empty class is
@@ -184,8 +182,6 @@ cmdRun(int argc, char **argv)
                           AddressSuperposition::uniform(
                               opt.w.addressWidth()));
     applyShardPins(est, spec);
-    if (opt.pipeline >= 0)
-        est.setPipeline(opt.pipeline != 0);
     std::unique_ptr<NoiseModel> noise = opt.w.makeNoise();
     const double setupSec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -162,7 +162,6 @@ struct RunOptions
     std::vector<double> factors;
     ShotStream stream = ShotStream::Counter;
     unsigned threads = 1;
-    int pipeline = -1; // -1 = estimator default / QRAMSIM_PIPELINE
     bool adaptive = false;
     AdaptivePolicy pol;
     std::string out, engine, tier;
@@ -304,18 +303,6 @@ parseRunFlags(int argc, char **argv, RunOptions &opt)
             if (!uintVal(1ul << 16, u))
                 return false;
             opt.threads = static_cast<unsigned>(u);
-        } else if (flag == "--pipeline") {
-            const char *v = value();
-            if (v && std::strcmp(v, "on") == 0)
-                opt.pipeline = 1;
-            else if (v && std::strcmp(v, "off") == 0)
-                opt.pipeline = 0;
-            else {
-                std::fprintf(stderr,
-                             "--pipeline wants on|off, got '%s'\n",
-                             v ? v : "");
-                return false;
-            }
         } else if (flag == "--engine") {
             const char *v = value();
             if (!v)
@@ -391,8 +378,6 @@ finishSpec(const RunOptions &opt, ShardSpec &spec)
     }
     if (opt.engine == "ensemble")
         spec.replay = ReplayPin::Ensemble;
-    else if (opt.engine == "slots" || opt.engine == "ensemble-slots")
-        spec.replay = ReplayPin::Slots;
     else if (opt.engine == "scalar")
         spec.replay = ReplayPin::Scalar;
     else if (!opt.engine.empty()) {
