@@ -7,12 +7,15 @@
  * then assume any file it finds is complete-or-absent: a worker
  * killed mid-write leaves at most a stale temp file, never a torn
  * target — which is what makes a checkpoint directory resumable and
- * lets duplicate shard completions be compared byte for byte.
+ * lets duplicate shard completions be compared byte for byte. The
+ * two helpers beside it, readFile and makeDirs, are the read side and
+ * the directory setup every one of those writers shares.
  */
 
 #ifndef QRAMSIM_COMMON_ATOMICFILE_HH
 #define QRAMSIM_COMMON_ATOMICFILE_HH
 
+#include <cerrno>
 #include <cstdio>
 #include <string>
 
@@ -109,6 +112,43 @@ atomicWriteFile(const std::string &path, const std::string &content,
             ::fsync(dfd);
             ::close(dfd);
         }
+    }
+    return true;
+}
+
+/** Read the whole file at @p path into @p out. False when it cannot
+ *  be opened or a read fails. */
+inline bool
+readFile(const std::string &path, std::string &out)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return false;
+    char buf[1 << 16];
+    std::size_t nr;
+    out.clear();
+    while ((nr = std::fread(buf, 1, sizeof buf, f)) > 0)
+        out.append(buf, nr);
+    const bool ok = !std::ferror(f);
+    std::fclose(f);
+    return ok;
+}
+
+/** mkdir -p: create every missing component of @p path. */
+inline bool
+makeDirs(const std::string &path)
+{
+    std::string prefix;
+    for (std::size_t i = 0; i <= path.size(); ++i) {
+        if (i < path.size() && path[i] != '/') {
+            prefix += path[i];
+            continue;
+        }
+        if (!prefix.empty() &&
+            ::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST)
+            return false;
+        if (i < path.size())
+            prefix += '/';
     }
     return true;
 }

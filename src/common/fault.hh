@@ -34,9 +34,9 @@
  *   exit:S[:CODE]  exit CODE (default 5) without writing output —
  *                  exercises the retry classifier's code mapping
  *
- * Broker-layer kinds (consulted only by `qramsim_server --broker`
- * workers and, for journal-truncate, by the broker itself — never by
- * the resident socket server's request path):
+ * Broker-layer kinds (consulted only by the `qramsim_server --broker`
+ * pull loop and, for journal-truncate, by the broker itself — never by
+ * the resident executor's Server::handle):
  *
  *   kill-on-pull:S      worker dies by SIGKILL immediately after
  *                       pulling the assignment whose shard range

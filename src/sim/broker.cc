@@ -4,20 +4,23 @@
  * wire messages (flat JSON, hardened Cursor), the journal line format
  * and its truncation/tamper-aware loader, then the Broker: job and
  * lease state, the pull/commit/steal scheduler, journal replay and
- * compaction, and the socket plumbing (same accept/per-connection
- * shape as sim/server.cc).
+ * compaction, and the socket plumbing (a thread per connection,
+ * joined once it finishes, with an idle deadline).
  */
 
 #include "sim/broker.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <system_error>
 
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -31,24 +34,6 @@ namespace qramsim {
 namespace brk {
 
 namespace {
-
-bool
-makeDirs(const std::string &path)
-{
-    std::string prefix;
-    for (std::size_t i = 0; i <= path.size(); ++i) {
-        if (i < path.size() && path[i] != '/') {
-            prefix += path[i];
-            continue;
-        }
-        if (!prefix.empty() &&
-            ::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST)
-            return false;
-        if (i < path.size())
-            prefix += '/';
-    }
-    return true;
-}
 
 std::string
 hex16(std::uint64_t v)
@@ -571,7 +556,7 @@ Broker::start(std::string *err)
             return fail("cannot create state dir " + cfg_.stateDir);
         std::string text;
         const bool haveJournal =
-            tool::readFile(journalPath(cfg_.stateDir), text);
+            readFile(journalPath(cfg_.stateDir), text);
         if (haveJournal && !text.empty() && !cfg_.resume)
             return fail("journal exists at " +
                         journalPath(cfg_.stateDir) +
@@ -626,7 +611,7 @@ Broker::stop()
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (!running_ && listenFd_ < 0 && connThreads_.empty() &&
+        if (!running_ && listenFd_ < 0 && conns_.empty() &&
             journalFd_ < 0)
             return;
         running_ = false;
@@ -635,21 +620,22 @@ Broker::stop()
             ::close(listenFd_);
             listenFd_ = -1;
         }
-        for (int fd : liveFds_)
-            ::shutdown(fd, SHUT_RDWR);
+        for (const Conn &c : conns_)
+            if (c.fd >= 0)
+                ::shutdown(c.fd, SHUT_RDWR);
     }
     if (acceptThread_.joinable())
         acceptThread_.join();
     if (housekeepingThread_.joinable())
         housekeepingThread_.join();
-    std::vector<std::thread> conns;
+    std::list<Conn> conns;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        conns.swap(connThreads_);
+        conns.swap(conns_);
     }
-    for (std::thread &t : conns)
-        if (t.joinable())
-            t.join();
+    for (Conn &c : conns)
+        if (c.thread.joinable())
+            c.thread.join();
     std::lock_guard<std::mutex> lk(mu_);
     if (journalFd_ >= 0) {
         ::close(journalFd_);
@@ -657,6 +643,13 @@ Broker::stop()
     }
     if (!cfg_.socketPath.empty())
         ::unlink(cfg_.socketPath.c_str());
+}
+
+double
+Broker::deadSec() const
+{
+    return cfg_.workerDeadSec > 0.0 ? cfg_.workerDeadSec
+                                    : 3.0 * cfg_.heartbeatSec;
 }
 
 void
@@ -676,37 +669,72 @@ Broker::acceptLoop()
                 continue;
             return;
         }
-        std::lock_guard<std::mutex> lk(mu_);
-        if (!running_) {
-            ::close(fd);
-            return;
+        // Each arrival joins the connections that finished since the
+        // last one, so an idle broker holds no dead threads' stacks.
+        std::list<Conn> finished;
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            if (!running_) {
+                ::close(fd);
+                return;
+            }
+            for (auto it = conns_.begin(); it != conns_.end();) {
+                const auto next = std::next(it);
+                if (it->fd < 0)
+                    finished.splice(finished.end(), conns_, it);
+                it = next;
+            }
+            Conn &c = conns_.emplace_back();
+            c.fd = fd;
+            try {
+                // The thread cannot mark itself finished before this
+                // assignment: that needs mu_, held here.
+                c.thread = std::thread([this, &c] { serveConnection(c); });
+            } catch (const std::system_error &) {
+                // Out of threads: close this one connection rather
+                // than end the broker.
+                conns_.pop_back();
+                ::close(fd);
+            }
         }
-        liveFds_.push_back(fd);
-        connThreads_.emplace_back(
-            [this, fd] { serveConnection(fd); });
+        for (Conn &c : finished)
+            c.thread.join();
     }
 }
 
 void
-Broker::serveConnection(int fd)
+Broker::serveConnection(Conn &conn)
 {
-    std::string frame;
+    const int fd = conn.fd;
+    // A connection holding a thread must make frame progress: a peer
+    // silent for a dead worker's deadline is cut (a zero deadline,
+    // from --heartbeat 0, cuts nothing). recvFrame maps the
+    // SO_RCVTIMEO expiry to the "idle timeout" reason counted below.
+    const double idle = deadSec();
+    if (idle > 0.0) {
+        timeval tv;
+        tv.tv_sec = static_cast<time_t>(idle);
+        tv.tv_usec = static_cast<suseconds_t>(
+            (idle - static_cast<double>(tv.tv_sec)) * 1e6);
+        if (tv.tv_sec == 0 && tv.tv_usec == 0)
+            tv.tv_usec = 1; // all zeros would mean "no timeout"
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    }
+    std::string frame, err;
     for (;;) {
-        std::string err;
         if (!srv::recvFrame(fd, frame, cfg_.maxFrameBytes, &err))
             break;
         if (!srv::sendFrame(fd, handleMessage(frame)))
             break;
     }
-    ::close(fd);
-    std::lock_guard<std::mutex> lk(mu_);
-    for (std::size_t i = 0; i < liveFds_.size(); ++i) {
-        if (liveFds_[i] == fd) {
-            liveFds_[i] = liveFds_.back();
-            liveFds_.pop_back();
-            break;
-        }
+    {
+        // Under mu_, so stop() never shuts down a reused fd number.
+        std::lock_guard<std::mutex> lk(mu_);
+        if (err == "idle timeout")
+            ++stats_.transportTimeouts;
+        conn.fd = -1;
     }
+    ::close(fd);
 }
 
 void
@@ -1260,9 +1288,7 @@ Broker::handleFetch(const Msg &req, Clock::time_point now)
 void
 Broker::tickLocked(Clock::time_point now)
 {
-    const double deadSec = cfg_.workerDeadSec > 0.0
-                               ? cfg_.workerDeadSec
-                               : 3.0 * cfg_.heartbeatSec;
+    const double deadSec = this->deadSec();
 
     // Dead workers: silence past the deadline forfeits every lease.
     for (auto it = workers_.begin(); it != workers_.end();) {
@@ -1558,7 +1584,8 @@ Broker::statsJson() const
         "  \"duplicate_mismatches\": %llu,\n"
         "  \"journal_replayed_commits\": %llu,\n"
         "  \"journal_dropped_entries\": %llu,\n"
-        "  \"bad_frames\": %llu,\n",
+        "  \"bad_frames\": %llu,\n"
+        "  \"transport_timeouts\": %llu,\n",
         static_cast<unsigned long long>(s.jobsSubmitted),
         static_cast<unsigned long long>(s.jobsResumed),
         static_cast<unsigned long long>(s.jobsCompleted),
@@ -1577,7 +1604,8 @@ Broker::statsJson() const
         static_cast<unsigned long long>(s.duplicateMismatches),
         static_cast<unsigned long long>(s.journalReplayedCommits),
         static_cast<unsigned long long>(s.journalDroppedEntries),
-        static_cast<unsigned long long>(s.badFrames));
+        static_cast<unsigned long long>(s.badFrames),
+        static_cast<unsigned long long>(s.transportTimeouts));
     out += buf;
     out += "  \"steal_latency_seconds_total\": ";
     json::appendDouble(out, s.stealLatencySecTotal);

@@ -5,12 +5,13 @@
  *
  * ## Why a broker
  *
- * PR 8 gave each qramsim_drive a private supervised shard queue and
- * PR 9 made qramsim_server a passive per-request executor — so a dead
- * or slow worker stalls exactly one client, and an idle worker on one
- * job cannot help a straggling shard of another. The broker inverts
- * the topology: drives SUBMIT jobs, workers PULL shards, and the
- * broker leases, re-dispatches, and journals in between. The same
+ * On its own, each qramsim_drive supervises a private shard queue
+ * (orchestrator.hh) — so a dead or slow worker stalls exactly one
+ * client, and an idle worker on one job cannot help a straggling
+ * shard of another. The broker inverts the topology: drives SUBMIT
+ * jobs, workers (qramsim_server --broker, each running a resident
+ * srv::Server) PULL shards, and the broker leases, re-dispatches, and
+ * journals in between. The same
  * correctness nets apply: shards are deterministic, so every stolen
  * or duplicated shard's commit is cross-checked byte-for-byte against
  * the first (equivalentPartials, orchestrator.hh), and a job's merged
@@ -23,7 +24,9 @@
  * magic key `"qramsim_broker": 1` and a `"type"`; each connection is
  * strictly request/response (workers and clients use short-lived
  * connections, one round trip each, so a worker's heartbeat thread
- * never contends with its compute loop on a socket).
+ * never contends with its compute loop on a socket). Each connection
+ * gets a thread, joined after it finishes, and a connection that sends
+ * nothing for workerDeadSec is closed (Stats::transportTimeouts).
  *
  * Worker-facing types (worker identity is a caller-chosen name, e.g.
  * "w<pid>"; the broker auto-registers unknown names on ANY contact,
@@ -82,7 +85,7 @@
  * selected shard and SIGKILLs the broker (the deterministic
  * crash-recovery drill). The worker-side kinds (kill-on-pull,
  * drop-heartbeat, lease-stall) live in qramsim_server's broker
- * worker loop; the resident socket server's request path still never
+ * worker loop; the resident executor it runs (sim/server.hh) never
  * consults faults.
  */
 
@@ -93,6 +96,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <map>
 #include <mutex>
 #include <string>
@@ -180,7 +184,9 @@ struct BrokerConfig
     double heartbeatSec = 1.0;
 
     /** A worker silent for this long is dead and its leases return
-     *  to the queue (0 = 3 * heartbeatSec). */
+     *  to the queue (0 = 3 * heartbeatSec). Also each connection's
+     *  idle deadline: one that sends no frame for this long is
+     *  closed. */
     double workerDeadSec = 0.0;
 
     /** Lease duration until enough completions exist to scale. */
@@ -252,6 +258,7 @@ class Broker
         std::uint64_t journalReplayedCommits = 0;
         std::uint64_t journalDroppedEntries = 0;
         std::uint64_t badFrames = 0;
+        std::uint64_t transportTimeouts = 0; ///< idle connections cut
         double stealLatencySecTotal = 0.0; ///< queue-return -> pickup
     };
     Stats stats() const;
@@ -269,10 +276,19 @@ class Broker
     struct Worker;
     struct QueueEntry;
 
+    /** One accepted connection and the thread serving it. */
+    struct Conn
+    {
+        std::thread thread;
+        int fd = -1; ///< -1 once the connection is finished
+    };
+
     using Clock = std::chrono::steady_clock;
 
+    /** workerDeadSec with its default applied. */
+    double deadSec() const;
     void acceptLoop();
-    void serveConnection(int fd);
+    void serveConnection(Conn &conn);
     void housekeepingLoop();
     void tickLocked(Clock::time_point now);
 
@@ -321,8 +337,7 @@ class Broker
     bool running_ = false;
     std::thread acceptThread_;
     std::thread housekeepingThread_;
-    std::vector<int> liveFds_;
-    std::vector<std::thread> connThreads_;
+    std::list<Conn> conns_; ///< list: a serving thread holds its node
 };
 
 } // namespace brk

@@ -40,44 +40,6 @@
 
 namespace qramsim {
 
-namespace {
-
-bool
-makeDirs(const std::string &path)
-{
-    std::string prefix;
-    for (std::size_t i = 0; i <= path.size(); ++i) {
-        if (i < path.size() && path[i] != '/') {
-            prefix += path[i];
-            continue;
-        }
-        if (!prefix.empty() &&
-            ::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST)
-            return false;
-        if (i < path.size())
-            prefix += '/';
-    }
-    return true;
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    char buf[1 << 16];
-    std::size_t nr;
-    out.clear();
-    while ((nr = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out.append(buf, nr);
-    const bool ok = !std::ferror(f);
-    std::fclose(f);
-    return ok;
-}
-
-} // namespace
-
 std::uint64_t
 fnv1a64(const std::string &s)
 {

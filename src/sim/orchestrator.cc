@@ -1,19 +1,13 @@
 #include "sim/orchestrator.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <thread>
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -22,7 +16,6 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "sim/server.hh"
 
 namespace qramsim {
 
@@ -34,41 +27,6 @@ double
 secondsSince(Clock::time_point t0, Clock::time_point t1)
 {
     return std::chrono::duration<double>(t1 - t0).count();
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    char buf[1 << 16];
-    std::size_t nr;
-    out.clear();
-    while ((nr = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out.append(buf, nr);
-    const bool ok = !std::ferror(f);
-    std::fclose(f);
-    return ok;
-}
-
-/** mkdir -p: create every missing component of @p path. */
-bool
-makeDirs(const std::string &path)
-{
-    std::string prefix;
-    for (std::size_t i = 0; i <= path.size(); ++i) {
-        if (i < path.size() && path[i] != '/') {
-            prefix += path[i];
-            continue;
-        }
-        if (!prefix.empty() &&
-            ::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST)
-            return false;
-        if (i < path.size())
-            prefix += '/';
-    }
-    return true;
 }
 
 const char *
@@ -248,14 +206,11 @@ DriveReport::toJson() const
         "  \"speculative\": %zu,\n  \"duplicate_matches\": %zu,\n"
         "  \"duplicate_mismatches\": %zu,\n"
         "  \"resumed_shards\": %zu,\n"
-        "  \"server_attempts\": %zu,\n"
-        "  \"server_transport_failures\": %zu,\n"
         "  \"broker_shards\": %zu,\n"
         "  \"broker_transport_failures\": %zu,\n",
         complete ? "true" : "false", launched, retries, timeouts,
         speculativeLaunches, duplicateMatches, duplicateMismatches,
-        resumedShards, serverAttempts, serverTransportFailures,
-        brokerShards, brokerTransportFailures);
+        resumedShards, brokerShards, brokerTransportFailures);
     s += buf;
     s += "  \"missing\": [";
     for (std::size_t i = 0; i < missing.size(); ++i) {
@@ -340,36 +295,10 @@ Orchestrator::loadCheckpoint(const std::string &path,
 
 namespace {
 
-/**
- * One socket-dispatched attempt: a small thread drives the blocking
- * connect/send/recv round trip and lands the payload in the SAME tmp
- * outPath a subprocess would have written, so the commit/validate
- * flow downstream is transport-blind. The orchestrator may shut the
- * connection down (deadline, duplicate cleanup); the thread then
- * unblocks with a transport failure and `killed` says who caused it.
- * The fd is owned here but closed by the orchestrator AFTER join —
- * a worker never closes it, so no fd-reuse race with shutdown().
- */
-struct SocketTask
-{
-    std::thread thread;
-    std::atomic<int> fd{-1};
-    std::atomic<bool> done{false};
-    std::atomic<bool> killed{false};
-
-    // Valid once done is true and the thread is joined:
-    int status = 0; ///< ToolExit-style response status
-    bool transportFail = false;
-    std::string detail;
-    double setupSeconds = 0.0;
-    double computeSeconds = 0.0;
-};
-
-/** Book-keeping of one live worker attempt (subprocess or socket). */
+/** Book-keeping of one live worker subprocess. */
 struct LiveAttempt
 {
-    pid_t pid = -1; ///< -1 for socket attempts
-    std::shared_ptr<SocketTask> sock;
+    pid_t pid = -1;
     std::size_t shard = 0;
     bool speculative = false;
     Clock::time_point start;
@@ -385,8 +314,6 @@ struct Track
     unsigned attempts = 0;    ///< cumulative (resume carries over)
     unsigned speculative = 0; ///< cumulative duplicate launches
     double seconds = 0.0;
-    double setupSeconds = -1.0;   ///< <0: take from the checkpoint
-    double computeSeconds = -1.0; ///< <0: take from the checkpoint
     std::string lastError;
     Clock::time_point eligible; ///< earliest next launch
     int running = 0;            ///< live attempts (primary + dup)
@@ -578,95 +505,10 @@ Orchestrator::run()
             persistManifest();
         }
     } else {
-        // --- Subprocess / socket event loop ------------------------
+        // --- Subprocess event loop ---------------------------------
         std::vector<LiveAttempt> live;
         std::vector<double> doneDurations;
         const unsigned slots = std::max(1u, cfg.workers);
-
-        // Transport selection: socket dispatch while the resident
-        // server looks healthy, fork/exec otherwise. One transport
-        // failure flips this for the rest of the run — a dead server
-        // will not come back mid-job, and burning a connect timeout
-        // per attempt would stall recovery.
-        bool serverDown = cfg.serverPath.empty();
-
-        auto launchSocket = [&](std::size_t shard, bool speculative,
-                                const std::string &outPath) {
-            auto task = std::make_shared<SocketTask>();
-            std::vector<std::string> args;
-            for (const std::string &a : cfg.workloadArgs)
-                args.push_back(a);
-            args.push_back("--shard");
-            args.push_back(std::to_string(shard) + "/" +
-                           std::to_string(cfg.requestedShards));
-            // No --out: the payload rides the response and THIS side
-            // commits it, so a server cannot scribble in the job dir.
-            const std::string serverPath = cfg.serverPath;
-            task->thread = std::thread([task, args, serverPath,
-                                        outPath] {
-                std::string err;
-                const int fd = srv::connectUnix(serverPath, &err);
-                if (fd < 0) {
-                    task->transportFail = true;
-                    task->detail = err;
-                    task->done = true;
-                    return;
-                }
-                task->fd.store(fd);
-                std::string frame;
-                srv::ShardResponse resp;
-                if (!srv::sendFrame(fd, srv::buildShardRequest(args),
-                                    &err) ||
-                    !srv::recvFrame(fd, frame,
-                                    srv::kDefaultMaxFrameBytes,
-                                    &err)) {
-                    task->transportFail = true;
-                    task->detail = err.empty()
-                                       ? "server closed the connection"
-                                       : err;
-                } else if (!srv::parseShardResponse(frame, resp,
-                                                    &err)) {
-                    task->transportFail = true;
-                    task->detail = "bad server response: " + err;
-                } else if (resp.status != 0) {
-                    task->status = resp.status;
-                    task->detail = resp.error;
-                } else {
-                    // Same tmp file a subprocess would write: the
-                    // validate/commit flow downstream is
-                    // transport-blind.
-                    std::string werr;
-                    if (!atomicWriteFile(outPath, resp.payload,
-                                         &werr)) {
-                        task->status = kToolExitIo;
-                        task->detail = werr;
-                    } else {
-                        task->setupSeconds = resp.setupSeconds;
-                        task->computeSeconds = resp.computeSeconds;
-                    }
-                }
-                task->done = true;
-            });
-            ++report.serverAttempts;
-            LiveAttempt att;
-            att.sock = std::move(task);
-            att.shard = shard;
-            att.speculative = speculative;
-            att.start = Clock::now();
-            att.outPath = outPath;
-            live.push_back(std::move(att));
-        };
-
-        /** Join a finished/killed socket attempt and release its fd
-         *  (owned by the orchestrator: closed only after join, so
-         *  shutdown() can never hit a reused descriptor). */
-        auto reapSocket = [](const LiveAttempt &att) {
-            if (att.sock->thread.joinable())
-                att.sock->thread.join();
-            const int fd = att.sock->fd.load();
-            if (fd >= 0)
-                ::close(fd);
-        };
 
         auto launch = [&](std::size_t shard, bool speculative) {
             Track &t = tracks[shard];
@@ -682,16 +524,6 @@ Orchestrator::run()
             const std::string logPath =
                 cfg.jobDir + "/logs" + suffix + ".log";
             std::remove(outPath.c_str());
-
-            if (!serverDown) {
-                launchSocket(shard, speculative, outPath);
-                ++report.launched;
-                if (speculative)
-                    ++report.speculativeLaunches;
-                ++t.running;
-                persistManifest();
-                return;
-            }
 
             std::vector<std::string> args;
             args.push_back(cfg.workerBin);
@@ -764,7 +596,7 @@ Orchestrator::run()
                     // before discarding it. equivalentPartials is
                     // byte-for-byte on everything but the reported
                     // wall-clock timing (which legitimately differs
-                    // between attempts, and between transports).
+                    // between attempts).
                     std::string a, b;
                     if (readFile(att.outPath, a) &&
                         readFile(
@@ -780,15 +612,6 @@ Orchestrator::run()
                 if (commitCheckpoint(att.shard, att.outPath, &why)) {
                     t.done = true;
                     t.seconds = age;
-                    if (att.sock) {
-                        // The server reports the cost it actually
-                        // paid (0 setup on a warm cache hit) — more
-                        // truthful than the checkpoint blob, which
-                        // carries whatever the original computation
-                        // cost.
-                        t.setupSeconds = att.sock->setupSeconds;
-                        t.computeSeconds = att.sock->computeSeconds;
-                    }
                     doneDurations.push_back(age);
                     persistManifest();
                     return;
@@ -825,52 +648,9 @@ Orchestrator::run()
         };
 
         for (;;) {
-            // Reap finished workers. Socket attempts complete when
-            // their I/O thread flags done; subprocess attempts are
-            // reaped per known pid (never steal other children of
-            // the embedding process).
+            // Reap finished workers, per known pid (never steal other
+            // children of the embedding process).
             for (std::size_t i = 0; i < live.size();) {
-                if (live[i].sock) {
-                    if (!live[i].sock->done.load()) {
-                        ++i;
-                        continue;
-                    }
-                    const LiveAttempt att = live[i];
-                    live.erase(live.begin() + i);
-                    reapSocket(att);
-                    if (att.sock->transportFail) {
-                        // Dead/hung/garbling server. Degrade to
-                        // fork/exec for the rest of the run and
-                        // relaunch this attempt WITHOUT burning a
-                        // retry: the shard did nothing wrong, the
-                        // transport did.
-                        if (!serverDown) {
-                            serverDown = true;
-                            std::fprintf(
-                                stderr,
-                                "warning: server transport failed "
-                                "(%s); falling back to fork/exec\n",
-                                att.sock->detail.c_str());
-                        }
-                        ++report.serverTransportFailures;
-                        std::remove(att.outPath.c_str());
-                        Track &t = tracks[att.shard];
-                        --t.running;
-                        if (!att.speculative) {
-                            if (t.attempts > 0)
-                                --t.attempts;
-                            t.eligible = Clock::now();
-                        }
-                        persistManifest();
-                        continue;
-                    }
-                    ExitClass cls =
-                        classifyExitCode(att.sock->status);
-                    if (!att.sock->detail.empty())
-                        cls.detail = "server: " + att.sock->detail;
-                    handleFinished(att, cls);
-                    continue;
-                }
                 int status = 0;
                 const pid_t r =
                     ::waitpid(live[i].pid, &status, WNOHANG);
@@ -893,22 +673,9 @@ Orchestrator::run()
                         continue;
                     }
                     const LiveAttempt att = live[i];
-                    if (att.sock) {
-                        // A deadline on a socket attempt is a slow
-                        // SHARD, not a dead transport: shut the
-                        // connection down and retry through the
-                        // normal backoff path without flipping
-                        // serverDown.
-                        att.sock->killed = true;
-                        const int fd = att.sock->fd.load();
-                        if (fd >= 0)
-                            ::shutdown(fd, SHUT_RDWR);
-                        reapSocket(att);
-                    } else {
-                        ::kill(att.pid, SIGKILL);
-                        int status = 0;
-                        ::waitpid(att.pid, &status, 0);
-                    }
+                    ::kill(att.pid, SIGKILL);
+                    int status = 0;
+                    ::waitpid(att.pid, &status, 0);
                     live.erase(live.begin() + i);
                     ++report.timeouts;
                     Track &t = tracks[att.shard];
@@ -981,17 +748,9 @@ Orchestrator::run()
             if (settled) {
                 if (!cfg.retry.waitForDuplicates || live.empty()) {
                     for (const LiveAttempt &att : live) {
-                        if (att.sock) {
-                            att.sock->killed = true;
-                            const int fd = att.sock->fd.load();
-                            if (fd >= 0)
-                                ::shutdown(fd, SHUT_RDWR);
-                            reapSocket(att);
-                        } else {
-                            ::kill(att.pid, SIGKILL);
-                            int status = 0;
-                            ::waitpid(att.pid, &status, 0);
-                        }
+                        ::kill(att.pid, SIGKILL);
+                        int status = 0;
+                        ::waitpid(att.pid, &status, 0);
                         --tracks[att.shard].running;
                         std::remove(att.outPath.c_str());
                     }
@@ -1022,10 +781,6 @@ Orchestrator::run()
         o.resumed = tracks[i].resumed;
         o.seconds = tracks[i].seconds;
         o.lastError = tracks[i].lastError;
-        if (tracks[i].setupSeconds >= 0.0) {
-            o.setupSeconds = tracks[i].setupSeconds;
-            o.computeSeconds = tracks[i].computeSeconds;
-        }
         report.shards.push_back(std::move(o));
         if (!tracks[i].done) {
             report.missing.push_back(i);
@@ -1035,15 +790,8 @@ Orchestrator::run()
         std::string err;
         if (loadCheckpoint(checkpointPath(cfg.jobDir, i),
                            cfg.plan.shards[i], part, &err)) {
-            // Track timing comes from a live server response this
-            // run; resumed/fork-exec shards report what the
-            // checkpoint blob recorded.
-            if (tracks[i].setupSeconds < 0.0) {
-                report.shards.back().setupSeconds =
-                    part.setupSeconds;
-                report.shards.back().computeSeconds =
-                    part.computeSeconds;
-            }
+            report.shards.back().setupSeconds = part.setupSeconds;
+            report.shards.back().computeSeconds = part.computeSeconds;
             parts.push_back(std::move(part));
         } else {
             report.shards.back().done = false;

@@ -14,7 +14,10 @@
  *
  *  - **Dispatch** — shards run as `qramsim_shard run` subprocesses
  *    (up to `workers` at a time), or through an in-process runner for
- *    pool-lane execution without fork/exec.
+ *    pool-lane execution without fork/exec. Every live attempt is a
+ *    child process, so the event loop waits on children only.
+ *    (`qramsim_drive --broker` runs its broker phase BEFORE the
+ *    orchestrator; brokered shards arrive as checkpoints.)
  *  - **Checkpoint** — each validated partial is committed to the job
  *    directory by write-temp-then-rename (common/atomicfile.hh), so
  *    the directory only ever holds complete-or-absent checkpoints and
@@ -116,8 +119,8 @@ struct ExitClass
 ExitClass classifyWaitStatus(int status);
 
 /** Map a bare ToolExit code (a worker's exit code, or the `status`
- *  field of a server shard response — the wire format reuses the
- *  contract) to the same classification. */
+ *  of a broker commit — the wire format reuses the contract) to the
+ *  same classification. */
 ExitClass classifyExitCode(int code);
 
 /** Retry, deadline, and straggler policy of one orchestrated job. */
@@ -209,9 +212,7 @@ struct ShardOutcome
     double seconds = 0.0; ///< duration of the winning attempt
 
     /** Setup (schedule/compile/checkpoint build) vs evaluation split
-     *  of the winning attempt. Socket dispatches report what THIS
-     *  dispatch paid (a warm server hit shows ~0 for both); other
-     *  transports read the committed checkpoint's own split. */
+     *  of the shard, as recorded in its committed checkpoint. */
     double setupSeconds = 0.0;
     double computeSeconds = 0.0;
     std::string lastError;
@@ -231,10 +232,6 @@ struct DriveReport
     std::size_t duplicateMismatches = 0; ///< integrity failures
     std::size_t resumedShards = 0;
     std::size_t timeouts = 0; ///< attempts killed at the deadline
-
-    /** Socket-transport accounting (serverPath mode). */
-    std::size_t serverAttempts = 0; ///< dispatches sent to the server
-    std::size_t serverTransportFailures = 0; ///< fell back to fork/exec
 
     /** Broker-phase accounting (qramsim_drive --broker; carried in
      *  from OrchestratorConfig — the broker phase runs before the
@@ -279,20 +276,6 @@ struct OrchestratorConfig
     unsigned workers = 2;
 
     RetryPolicy retry;
-
-    /**
-     * Unix-socket path of a resident qramsim_server (sim/server.hh).
-     * When set (subprocess mode only), shard attempts are dispatched
-     * over the socket instead of fork/exec: the whole supervision
-     * contract still applies — response status codes classify exactly
-     * like exit codes, deadlines shut the connection down, straggler
-     * duplicates cross-check byte-for-byte. The FIRST transport
-     * failure (dead socket, torn frame) marks the server down for the
-     * rest of the run and every later launch falls back to fork/exec;
-     * the interrupted attempt itself is relaunched without burning a
-     * retry.
-     */
-    std::string serverPath;
 
     /** Trust valid checkpoints already in the job directory. */
     bool resume = false;

@@ -1,25 +1,19 @@
 /**
  * @file
- * See server.hh for the protocol and the caching contract. Layout:
- * framing helpers (raw fd I/O, EINTR-safe, SIGPIPE-free), the
- * request/response JSON (common/json.hh hardened reader — a byte
- * flip in a frame degrades to a status-2 response or a dropped
- * connection, never UB), then the Server: accept loop, per-connection
- * threads, and handle(), where the two cache layers meet the
- * estimator.
+ * See server.hh for the request and caching contract. Layout: framing
+ * helpers (raw fd I/O, EINTR-safe, SIGPIPE-free), then the Server's
+ * handle(), where the two cache layers meet the estimator.
  */
 
 #include "sim/server.hh"
 
+#include <cerrno>
 #include <cstring>
 
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "common/json.hh"
-#include "common/logging.hh"
 #include "sim/fidelity.hh"
 #include "sim/sharding.hh"
 #include "tools/workload.hh"
@@ -34,7 +28,7 @@ writeAll(int fd, const char *data, std::size_t len, std::string *err)
 {
     while (len > 0) {
         // MSG_NOSIGNAL: a peer that closed mid-response must surface
-        // as an error return, not kill the server with SIGPIPE.
+        // as an error return, not kill the process with SIGPIPE.
         const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
@@ -166,145 +160,6 @@ connectUnix(const std::string &path, std::string *err)
     return fd;
 }
 
-// --- Request / response JSON ------------------------------------------
-
-std::string
-buildShardRequest(const std::vector<std::string> &args)
-{
-    std::string s = "{\n  \"qramsim_shard_request\": 1,\n"
-                    "  \"args\": ";
-    json::appendStringArray(s, args);
-    s += "\n}\n";
-    return s;
-}
-
-bool
-parseShardRequest(const std::string &text,
-                  std::vector<std::string> &args, std::string *err)
-{
-    auto fail = [&](const std::string &msg) {
-        if (err)
-            *err = msg;
-        return false;
-    };
-    args.clear();
-    json::Cursor c(text);
-    if (!c.consume('{'))
-        return fail("not a JSON object");
-    bool sawMagic = false, sawArgs = false;
-    if (!c.consume('}')) {
-        for (;;) {
-            std::string key;
-            if (!c.parseString(key) || !c.consume(':'))
-                return fail(c.err.empty() ? "expected key" : c.err);
-            bool ok = true;
-            if (key == "qramsim_shard_request") {
-                std::uint64_t u = 0;
-                ok = c.parseU64(u);
-                sawMagic = ok && u == 1;
-            } else if (key == "args") {
-                ok = c.parseStringArray(args);
-                sawArgs = ok;
-            } else {
-                ok = c.skipValue();
-            }
-            if (!ok)
-                return fail(c.err.empty() ? "bad value for " + key
-                                          : c.err);
-            if (c.consume('}'))
-                break;
-            if (!c.consume(','))
-                return fail("expected ',' or '}'");
-        }
-    }
-    if (!sawMagic)
-        return fail("missing qramsim_shard_request marker");
-    if (!sawArgs)
-        return fail("missing args");
-    return true;
-}
-
-std::string
-buildShardResponse(const ShardResponse &r)
-{
-    std::string s = "{\n  \"qramsim_shard_response\": 1,\n"
-                    "  \"status\": ";
-    s += std::to_string(r.status);
-    s += ",\n  \"cache\": ";
-    json::appendEscaped(s, r.cache);
-    s += ",\n  \"setup_seconds\": ";
-    json::appendDouble(s, r.setupSeconds);
-    s += ",\n  \"compute_seconds\": ";
-    json::appendDouble(s, r.computeSeconds);
-    s += ",\n  \"error\": ";
-    json::appendEscaped(s, r.error);
-    s += ",\n  \"payload\": ";
-    json::appendEscaped(s, r.payload);
-    s += "\n}\n";
-    return s;
-}
-
-bool
-parseShardResponse(const std::string &text, ShardResponse &out,
-                   std::string *err)
-{
-    auto fail = [&](const std::string &msg) {
-        if (err)
-            *err = msg;
-        return false;
-    };
-    out = ShardResponse{};
-    json::Cursor c(text);
-    if (!c.consume('{'))
-        return fail("not a JSON object");
-    bool sawMagic = false, sawStatus = false;
-    if (!c.consume('}')) {
-        for (;;) {
-            std::string key;
-            if (!c.parseString(key) || !c.consume(':'))
-                return fail(c.err.empty() ? "expected key" : c.err);
-            bool ok = true;
-            std::uint64_t u = 0;
-            if (key == "qramsim_shard_response") {
-                ok = c.parseU64(u);
-                sawMagic = ok && u == 1;
-            } else if (key == "status") {
-                ok = c.parseU64(u) && u <= 255;
-                out.status = static_cast<int>(u);
-                sawStatus = ok;
-            } else if (key == "cache") {
-                ok = c.parseString(out.cache);
-            } else if (key == "setup_seconds") {
-                ok = c.parseNumber(out.setupSeconds);
-            } else if (key == "compute_seconds") {
-                ok = c.parseNumber(out.computeSeconds);
-            } else if (key == "error") {
-                ok = c.parseString(out.error);
-            } else if (key == "payload") {
-                ok = c.parseString(out.payload);
-            } else {
-                ok = c.skipValue();
-            }
-            if (!ok)
-                return fail(c.err.empty() ? "bad value for " + key
-                                          : c.err);
-            if (c.consume('}'))
-                break;
-            if (!c.consume(','))
-                return fail("expected ',' or '}'");
-        }
-    }
-    if (!sawMagic)
-        return fail("missing qramsim_shard_response marker");
-    if (!sawStatus)
-        return fail("missing status");
-    if (out.setupSeconds < 0.0 || out.computeSeconds < 0.0)
-        return fail("negative timing");
-    if (out.status == 0 && out.payload.empty())
-        return fail("ok response without payload");
-    return true;
-}
-
 // --- Server ------------------------------------------------------------
 
 namespace {
@@ -349,158 +204,6 @@ Server::Server(ServerConfig cfg)
       results_(cfg_.resultCapacity, cfg_.spillDir,
                &validPartialPayload, cfg_.spillCapBytes)
 {
-}
-
-Server::~Server() { stop(); }
-
-bool
-Server::start(std::string *err)
-{
-    auto fail = [&](const std::string &msg) {
-        if (err)
-            *err = msg;
-        return false;
-    };
-    std::lock_guard<std::mutex> lk(mu_);
-    if (running_)
-        return fail("server already running");
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof addr);
-    addr.sun_family = AF_UNIX;
-    if (cfg_.socketPath.empty() ||
-        cfg_.socketPath.size() >= sizeof addr.sun_path)
-        return fail("socket path too long: " + cfg_.socketPath);
-    std::memcpy(addr.sun_path, cfg_.socketPath.c_str(),
-                cfg_.socketPath.size() + 1);
-    // A stale socket file from a crashed predecessor would make bind
-    // fail forever; unlink is safe because a LIVE server would have
-    // made this bind fail with EADDRINUSE anyway.
-    ::unlink(cfg_.socketPath.c_str());
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        return fail(std::string("socket: ") + std::strerror(errno));
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(fd, cfg_.backlog) != 0) {
-        const std::string reason = std::strerror(errno);
-        ::close(fd);
-        return fail("bind/listen " + cfg_.socketPath + ": " + reason);
-    }
-    listenFd_ = fd;
-    running_ = true;
-    acceptThread_ = std::thread([this] { acceptLoop(); });
-    return true;
-}
-
-void
-Server::stop()
-{
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (!running_ && listenFd_ < 0 && connThreads_.empty())
-            return;
-        running_ = false;
-        if (listenFd_ >= 0) {
-            // shutdown() forces the blocking accept() to return on
-            // every platform close() alone does not.
-            ::shutdown(listenFd_, SHUT_RDWR);
-            ::close(listenFd_);
-            listenFd_ = -1;
-        }
-        for (int fd : liveFds_)
-            ::shutdown(fd, SHUT_RDWR);
-    }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-    std::vector<std::thread> conns;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        conns.swap(connThreads_);
-    }
-    for (std::thread &t : conns)
-        if (t.joinable())
-            t.join();
-    ::unlink(cfg_.socketPath.c_str());
-}
-
-void
-Server::acceptLoop()
-{
-    for (;;) {
-        int lfd;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (!running_)
-                return;
-            lfd = listenFd_;
-        }
-        const int fd = ::accept(lfd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // listen socket shut down (stop) or broken
-        }
-        std::lock_guard<std::mutex> lk(mu_);
-        if (!running_) {
-            ::close(fd);
-            return;
-        }
-        liveFds_.push_back(fd);
-        connThreads_.emplace_back(
-            [this, fd] { serveConnection(fd); });
-    }
-}
-
-void
-Server::serveConnection(int fd)
-{
-    if (cfg_.idleTimeoutSec > 0.0) {
-        // Slow-loris defense: a connection holding a thread must make
-        // frame progress. SO_RCVTIMEO bounds each recv(), which
-        // bounds a silent peer; readAll maps the expiry to the "idle
-        // timeout" reason counted below.
-        timeval tv;
-        tv.tv_sec = static_cast<time_t>(cfg_.idleTimeoutSec);
-        tv.tv_usec = static_cast<suseconds_t>(
-            (cfg_.idleTimeoutSec - static_cast<double>(tv.tv_sec)) *
-            1e6);
-        if (tv.tv_sec == 0 && tv.tv_usec == 0)
-            tv.tv_usec = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    }
-    std::string frame;
-    for (;;) {
-        std::string err;
-        if (!recvFrame(fd, frame, cfg_.maxFrameBytes, &err)) {
-            // clean EOF, torn frame, oversized prefix, or idle peer
-            if (err == "idle timeout") {
-                std::lock_guard<std::mutex> lk(mu_);
-                ++stats_.transportTimeouts;
-            }
-            break;
-        }
-        std::vector<std::string> args;
-        ShardResponse resp;
-        if (!parseShardRequest(frame, args, &err)) {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++stats_.badRequests;
-            resp.status = 2;
-            resp.error = "bad request: " + err;
-        } else {
-            resp = handle(args);
-        }
-        if (!sendFrame(fd, buildShardResponse(resp)))
-            break;
-    }
-    ::close(fd);
-    std::lock_guard<std::mutex> lk(mu_);
-    for (std::size_t i = 0; i < liveFds_.size(); ++i) {
-        if (liveFds_[i] == fd) {
-            liveFds_[i] = liveFds_.back();
-            liveFds_.pop_back();
-            break;
-        }
-    }
 }
 
 ShardResponse

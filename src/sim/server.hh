@@ -1,50 +1,42 @@
 /**
  * @file
- * The resident estimation server and its wire protocol.
+ * The resident shard executor that `qramsim_server --broker` runs,
+ * and the frame helpers the broker protocol rides on.
  *
- * ## Why a server
+ * ## Why a resident executor
  *
  * Every `qramsim_shard run` recompiles the circuit and rebuilds the
  * estimator's ideal/checkpoint caches before evaluating one shot —
  * setup the orchestrator multiplies by shards x retries x
- * speculative duplicates. qramsim_server keeps that state RESIDENT:
- * compiled circuits + estimators live across requests in a
- * CompiledCache, finished PartialEstimate blobs in a
+ * speculative duplicates. A broker worker keeps that state RESIDENT:
+ * compiled circuits + estimators live across the shards it pulls in
+ * a CompiledCache, finished PartialEstimate blobs in a
  * content-addressed ResultCache (cachestore.hh), so the 2nd..Nth
  * shard of a sweep pays zero setup and an identical re-request pays
  * zero compute.
  *
- * ## Wire protocol
+ * ## Requests
  *
- * Unix-domain stream socket. Each message is a FRAME: a 4-byte
+ * Server::handle takes exactly a `qramsim_shard run` argument vector
+ * (the shared parseRunFlags vocabulary, tools/workload.hh) — the
+ * `args` of a broker assignment. `--out` is ignored (the result rides
+ * the ShardResponse) and `--tier` is REJECTED (a SIMD tier pin is
+ * process-global state a shared executor must not toggle; results are
+ * tier-invariant anyway). The response's `status` reuses the ToolExit
+ * contract the orchestrator and the broker classify (0 ok / 2 usage =
+ * permanent / 3 transient = retryable), and a worker commits it to
+ * the broker as is.
+ *
+ * The executor never consults QRAMSIM_FAULT — fault injection is a
+ * worker-tool testing hook (qramsim_server's pull loop), and a
+ * resident executor must not inherit job-scoped faults. Bad requests
+ * get status 2; handle() never exits the process.
+ *
+ * ## Frames
+ *
+ * The broker's Unix-domain stream socket carries FRAMES: a 4-byte
  * little-endian unsigned payload length, then that many bytes of
- * UTF-8 JSON. A connection carries any number of request/response
- * round trips (strictly alternating); either side closes when done.
- *
- * Request:  {"qramsim_shard_request": 1, "args": ["--arch", ...]}
- *   `args` is exactly a `qramsim_shard run` argument vector (the
- *   shared parseRunFlags vocabulary, tools/workload.hh); `--out` is
- *   ignored (the result rides the response) and `--tier` is REJECTED
- *   (a SIMD tier pin is process-global state a shared server must
- *   not toggle; results are tier-invariant anyway).
- *
- * Response: {"qramsim_shard_response": 1, "status": N,
- *            "cache": "...", "setup_seconds": X,
- *            "compute_seconds": Y, "error": "...", "payload": "..."}
- *   `status` reuses the ToolExit contract the orchestrator already
- *   classifies (0 ok / 2 usage = permanent / 3 transient =
- *   retryable), `payload` is the PartialEstimate JSON on status 0,
- *   and `cache` says how it was produced: "result" (memory hit),
- *   "spill" (validated disk blob), "coalesced" (waited on an
- *   identical in-flight request), "compiled" (computed on a resident
- *   estimator), "cold" (computed after a full build). The timing pair
- *   is the cost THIS request paid — a warm hit reports
- *   setup_seconds == 0.
- *
- * The server never consults QRAMSIM_FAULT — fault injection is a
- * worker-tool testing hook, and a resident process must not inherit
- * job-scoped faults. Bad requests get status 2 and the connection
- * keeps serving; the process exits only on stop().
+ * UTF-8 JSON (sim/broker.hh).
  */
 
 #ifndef QRAMSIM_SIM_SERVER_HH
@@ -53,7 +45,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/threadpool.hh"
@@ -78,7 +69,8 @@ bool sendFrame(int fd, const std::string &payload,
  * exceeding @p maxBytes (a corrupt or hostile peer — the caller
  * closes the connection, it cannot resynchronize). Clean EOF before
  * any byte sets @p err to "" so callers can tell "peer done" from
- * "torn frame".
+ * "torn frame"; an expired SO_RCVTIMEO on @p fd sets it to
+ * "idle timeout".
  */
 bool recvFrame(int fd, std::string &payload, std::uint32_t maxBytes,
                std::string *err = nullptr);
@@ -87,19 +79,19 @@ bool recvFrame(int fd, std::string &payload, std::uint32_t maxBytes,
  *  the reason in @p err. */
 int connectUnix(const std::string &path, std::string *err = nullptr);
 
-// --- Request / response JSON ------------------------------------------
+// --- Server ------------------------------------------------------------
 
-std::string buildShardRequest(const std::vector<std::string> &args);
-bool parseShardRequest(const std::string &json,
-                       std::vector<std::string> &args,
-                       std::string *err = nullptr);
-
+/** What one handle() call produced. */
 struct ShardResponse
 {
     /** ToolExit semantics: 0 ok, 2 usage (permanent), 3 transient
      *  (retryable). */
     int status = 0;
-    /** "result" | "spill" | "coalesced" | "compiled" | "cold" | "". */
+    /** How the payload was produced: "result" (memory hit), "spill"
+     *  (validated disk blob), "coalesced" (waited on an identical
+     *  in-flight request), "compiled" (computed on a resident
+     *  estimator), "cold" (computed after a full build); "" on
+     *  error. */
     std::string cache;
     /** Setup cost THIS request paid (estimator build; 0 on a warm
      *  hit) and the shard evaluation wall time (0 when served from
@@ -111,15 +103,8 @@ struct ShardResponse
     std::string payload;
 };
 
-std::string buildShardResponse(const ShardResponse &r);
-bool parseShardResponse(const std::string &json, ShardResponse &out,
-                        std::string *err = nullptr);
-
-// --- Server ------------------------------------------------------------
-
 struct ServerConfig
 {
-    std::string socketPath;
     /** Estimation ThreadPool size (0 = hardware concurrency). ONE
      *  pool is shared by every request via ShardSpec::pool — the
      *  resident process bounds compute, not the request. */
@@ -134,64 +119,41 @@ struct ServerConfig
      *  directory LRU-by-mtime on startup and after each spill write
      *  (0 = unbounded, the pre-cap behaviour). */
     std::size_t spillCapBytes = 256u << 20;
-    std::uint32_t maxFrameBytes = kDefaultMaxFrameBytes;
-    /** Per-connection idle deadline in seconds: a connection that
-     *  sends no complete frame for this long is closed (counted in
-     *  Stats::transportTimeouts) — the slow-loris defense. 0
-     *  disables. */
-    double idleTimeoutSec = 300.0;
     /** Reject workloads wider than this (address width ~ state
      *  cost); a shared server must bound one request's footprint. */
     unsigned maxAddressWidth = 24;
     /** Reject jobs over this raw shot/draw budget. */
     std::size_t maxShots = std::size_t(1) << 24;
-    int backlog = 64;
 };
 
 class Server
 {
   public:
     explicit Server(ServerConfig cfg);
-    ~Server();
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Bind + listen + start the accept thread. A stale socket file
-     *  at the path is unlinked first. */
-    bool start(std::string *err = nullptr);
-
-    /** Stop accepting, shut down live connections, join all
-     *  threads, unlink the socket path. Idempotent. */
-    void stop();
-
     /**
-     * Execute one request in-process (the same path a connection
-     * takes after recvFrame+parse). Exposed so tests can drive the
-     * full cache/compute logic without a socket.
+     * Execute one request: validate it, then serve it from the result
+     * cache or compute it on a resident estimator. Thread-safe; every
+     * call shares one estimation pool.
      */
     ShardResponse handle(const std::vector<std::string> &args);
 
     struct Stats
     {
         std::uint64_t requests = 0;
-        std::uint64_t badRequests = 0; ///< unparseable frame/JSON
         std::uint64_t usageErrors = 0; ///< status 2
         std::uint64_t failures = 0;    ///< status 3
         std::uint64_t resultHits = 0;  ///< "result" + "spill"
         std::uint64_t resultCoalesced = 0;
         std::uint64_t computed = 0;    ///< "compiled" + "cold"
         std::uint64_t compiledBuilds = 0; ///< "cold"
-        std::uint64_t transportTimeouts = 0; ///< idle connections cut
     };
     Stats stats() const;
 
-    const ServerConfig &config() const { return cfg_; }
-
   private:
-    void acceptLoop();
-    void serveConnection(int fd);
-
     ServerConfig cfg_;
     ThreadPool pool_;
     CompiledCache compiled_;
@@ -199,11 +161,6 @@ class Server
 
     mutable std::mutex mu_;
     Stats stats_;
-    int listenFd_ = -1;
-    bool running_ = false;
-    std::thread acceptThread_;
-    std::vector<int> liveFds_;
-    std::vector<std::thread> connThreads_;
 };
 
 } // namespace srv

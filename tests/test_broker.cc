@@ -7,16 +7,20 @@
  * machine (submit/pull/commit/poll/fetch, duplicate cross-checks,
  * invalid-commit requeue, permanent-failure settling, dead-worker
  * and frozen-progress lease recovery, job parking, journal replay
- * across restarts), and the kill/steal/resume matrix end to end —
- * every disturbed run byte-identical to the undisturbed fork/exec
- * reference.
+ * across restarts), the socket plumbing (finished connection threads
+ * are joined, silent connections are cut at the idle deadline), and
+ * the kill/steal/resume matrix end to end — every disturbed run
+ * byte-identical to the undisturbed fork/exec reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -885,6 +889,91 @@ TEST(Broker, JournalCompactionPreservesStateAndStaysReplayable)
     poll.type = "poll";
     poll.job = job.job;
     EXPECT_EQ(1u, ask(b, poll).complete);
+    b.stop();
+}
+
+// --- The socket plumbing -----------------------------------------------
+
+/** Lines in /proc/self/maps: a finished but unjoined thread keeps its
+ *  stack and guard page mapped. */
+std::size_t
+mappingCount()
+{
+    const std::string maps = readFileStr("/proc/self/maps");
+    return static_cast<std::size_t>(
+        std::count(maps.begin(), maps.end(), '\n'));
+}
+
+brk::Msg
+registerMsg()
+{
+    brk::Msg m;
+    m.type = "register";
+    m.worker = "w1";
+    return m;
+}
+
+TEST(BrokerSocket, FinishedConnectionThreadsAreJoined)
+{
+    const std::string dir = tempDir("brk_join");
+    brk::BrokerConfig cfg = quickConfig();
+    cfg.socketPath = dir + "/broker.sock";
+    brk::Broker b(cfg);
+    std::string err;
+    ASSERT_TRUE(b.start(&err)) << err;
+    brk::Msg resp;
+    // Warm-up round trips fill the allocator's thread-stack cache.
+    for (int i = 0; i < 20; ++i)
+        ASSERT_TRUE(brk::roundTrip(cfg.socketPath, registerMsg(), resp,
+                                   &err))
+            << err;
+    const std::size_t before = mappingCount();
+    for (int i = 0; i < 2000; ++i)
+        ASSERT_TRUE(brk::roundTrip(cfg.socketPath, registerMsg(), resp,
+                                   &err))
+            << "round trip " << i << ": " << err;
+    const std::size_t after = mappingCount();
+    b.stop();
+    EXPECT_LT(after, before + 100)
+        << "2000 finished connections grew the mappings from " << before
+        << " to " << after << " lines";
+}
+
+TEST(BrokerSocket, SilentConnectionIsClosedAndCounted)
+{
+    const std::string dir = tempDir("brk_idle");
+    brk::BrokerConfig cfg = quickConfig();
+    cfg.socketPath = dir + "/broker.sock";
+    cfg.workerDeadSec = 0.2; // the idle deadline
+    brk::Broker b(cfg);
+    std::string err;
+    ASSERT_TRUE(b.start(&err)) << err;
+
+    // A normal round trip ends at the client's close, not the deadline.
+    brk::Msg resp;
+    ASSERT_TRUE(brk::roundTrip(cfg.socketPath, registerMsg(), resp,
+                               &err))
+        << err;
+
+    const int fd = srv::connectUnix(cfg.socketPath, &err);
+    ASSERT_GE(fd, 0) << err;
+    timeval bound{};
+    bound.tv_sec = 5; // the client's own bound on the wait
+    ASSERT_EQ(0, ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &bound,
+                              sizeof bound));
+    const auto t0 = std::chrono::steady_clock::now();
+    char byte = 0;
+    const ssize_t n = ::recv(fd, &byte, 1, 0);
+    const double waited = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    ::close(fd);
+    EXPECT_EQ(0, n) << "the broker must close a silent connection";
+    EXPECT_LT(waited, 1.0) << "closed after " << waited << " s";
+
+    EXPECT_EQ(1u, b.stats().transportTimeouts);
+    EXPECT_NE(std::string::npos,
+              b.statsJson().find("\"transport_timeouts\": 1,"));
     b.stop();
 }
 

@@ -768,6 +768,16 @@ TEST(OrchestratorCli, ShardExitCodesFollowTheContract)
                      dir + "/j --shard 0/2" + quiet),
               2)
         << "--shard is owned by the driver";
+    // The direct socket transport is gone at both ends: its flags are
+    // usage errors, not silently ignored. (`timeout` bounds a binary
+    // that would still listen.)
+    EXPECT_EQ(shCode(std::string(QRAMSIM_DRIVE_BIN) + " --job " + dir +
+                     "/srv --worker-bin " + shard + " --server " + dir +
+                     "/srv.sock" + kWorkload + quiet),
+              2);
+    EXPECT_EQ(shCode("timeout 10 " + std::string(QRAMSIM_SERVER_BIN) +
+                     " --socket " + dir + "/srv.sock" + quiet),
+              2);
     std::system(("rm -rf " + dir).c_str());
 }
 

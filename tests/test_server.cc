@@ -1,22 +1,18 @@
 /**
  * @file
- * Resident-server tests (sim/server.hh + sim/cachestore.hh + the
- * qramsim_server / qramsim_drive --server CLIs): frame and JSON
- * protocol hardening (truncation corpus over every byte boundary,
- * byte-flip no-crash sweep, oversize/torn frames), CompiledCache and
+ * Resident-executor tests (sim/server.hh + sim/cachestore.hh): frame
+ * hardening (oversize and torn frames, clean EOF), CompiledCache and
  * ResultCache semantics (LRU eviction, coalesced builds, the
  * claim/publish/abandon protocol, spill survival across restarts,
  * corrupt-spill rejection-and-recompute), result-key
- * canonicalization, the in-process Server::handle cache ladder, and
- * the socket transport end to end — with `qramsim_drive --server`
- * results byte-identical to fork/exec, including under a server
- * killed mid-job and a socket that never existed.
+ * canonicalization, and the in-process Server::handle cache ladder
+ * that `qramsim_server --broker` workers run. The worker end to end
+ * is tests/test_broker.cc's.
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -47,14 +43,6 @@ readFileStr(const std::string &path)
         out.append(buf, nr);
     std::fclose(f);
     return out;
-}
-
-/** Exit code of a shell command (-1 on abnormal termination). */
-int
-shCode(const std::string &cmd)
-{
-    const int status = std::system(cmd.c_str());
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 std::string
@@ -142,122 +130,6 @@ TEST(ServerProtocol, RecvFrameReportsTornFrame)
                                 srv::kDefaultMaxFrameBytes, &err));
     EXPECT_FALSE(err.empty()) << "a torn frame is not a clean EOF";
     ::close(fds[1]);
-}
-
-// --- Request / response JSON hardening ---------------------------------
-
-TEST(ServerProtocol, RequestJsonRoundTrip)
-{
-    const std::vector<std::string> args = {
-        "--arch", "bb",     "--m",       "6",
-        "--eps",  "2e-3",   "--factors", "0.5,1,2",
-        "--odd",  "quo\"te\\back\nline"};
-    const std::string json = srv::buildShardRequest(args);
-    std::vector<std::string> back;
-    std::string err;
-    ASSERT_TRUE(srv::parseShardRequest(json, back, &err)) << err;
-    EXPECT_EQ(args, back);
-}
-
-TEST(ServerProtocol, ResponseJsonRoundTrip)
-{
-    srv::ShardResponse r;
-    r.status = 3;
-    r.cache = "cold";
-    r.setupSeconds = 0.125;
-    r.computeSeconds = 2.5;
-    r.error = "detail \"quoted\"";
-    r.payload = "";
-    const std::string json = srv::buildShardResponse(r);
-    srv::ShardResponse back;
-    std::string err;
-    ASSERT_TRUE(srv::parseShardResponse(json, back, &err)) << err;
-    EXPECT_EQ(r.status, back.status);
-    EXPECT_EQ(r.cache, back.cache);
-    EXPECT_EQ(r.setupSeconds, back.setupSeconds);
-    EXPECT_EQ(r.computeSeconds, back.computeSeconds);
-    EXPECT_EQ(r.error, back.error);
-    EXPECT_EQ(r.payload, back.payload);
-}
-
-TEST(ServerProtocol, RequestTruncationCorpus)
-{
-    const std::string json = srv::buildShardRequest(
-        {"--arch", "bb", "--m", "4", "--factors", "0.5,1"});
-    // Every prefix cut before the closing brace must fail cleanly
-    // (prefixes dropping only trailing whitespace are complete
-    // objects and may parse) — the idiom of the partial/manifest
-    // corpora in test_orchestrator.cc.
-    const std::size_t lastBrace = json.rfind('}');
-    ASSERT_NE(lastBrace, std::string::npos);
-    for (std::size_t cut = 0; cut <= lastBrace; ++cut) {
-        std::vector<std::string> args;
-        std::string err;
-        EXPECT_FALSE(srv::parseShardRequest(json.substr(0, cut),
-                                            args, &err))
-            << "accepted a prefix of " << cut << " bytes";
-    }
-    std::vector<std::string> args;
-    EXPECT_TRUE(srv::parseShardRequest(json, args));
-}
-
-TEST(ServerProtocol, ResponseTruncationCorpus)
-{
-    srv::ShardResponse r;
-    r.status = 0;
-    r.cache = "result";
-    r.computeSeconds = 1.0;
-    r.payload = "{\"qramsim_partial\": 1}";
-    const std::string json = srv::buildShardResponse(r);
-    const std::size_t lastBrace = json.rfind('}');
-    ASSERT_NE(lastBrace, std::string::npos);
-    for (std::size_t cut = 0; cut <= lastBrace; ++cut) {
-        srv::ShardResponse back;
-        std::string err;
-        EXPECT_FALSE(srv::parseShardResponse(json.substr(0, cut),
-                                             back, &err))
-            << "accepted a prefix of " << cut << " bytes";
-    }
-    srv::ShardResponse back;
-    EXPECT_TRUE(srv::parseShardResponse(json, back));
-}
-
-TEST(ServerProtocol, ByteFlipNoCrashSweep)
-{
-    const std::string req = srv::buildShardRequest(
-        {"--arch", "bb", "--m", "4", "--seed", "7"});
-    srv::ShardResponse okResp;
-    okResp.status = 0;
-    okResp.cache = "cold";
-    okResp.payload = "{\"qramsim_partial\": 1}";
-    const std::string resp = srv::buildShardResponse(okResp);
-    for (std::size_t i = 0; i < req.size(); ++i) {
-        for (const unsigned char flip :
-             {0x01u, 0x20u, 0x80u, 0xffu}) {
-            std::string mut = req;
-            mut[i] = static_cast<char>(mut[i] ^ flip);
-            std::vector<std::string> args;
-            srv::parseShardRequest(mut, args); // must not crash
-        }
-    }
-    for (std::size_t i = 0; i < resp.size(); ++i) {
-        for (const unsigned char flip :
-             {0x01u, 0x20u, 0x80u, 0xffu}) {
-            std::string mut = resp;
-            mut[i] = static_cast<char>(mut[i] ^ flip);
-            srv::ShardResponse back;
-            if (srv::parseShardResponse(mut, back)) {
-                // Anything accepted must still satisfy the response
-                // invariants the orchestrator relies on.
-                EXPECT_GE(back.status, 0);
-                EXPECT_LE(back.status, 255);
-                EXPECT_GE(back.setupSeconds, 0.0);
-                EXPECT_GE(back.computeSeconds, 0.0);
-                if (back.status == 0)
-                    EXPECT_FALSE(back.payload.empty());
-            }
-        }
-    }
 }
 
 // --- CompiledCache -----------------------------------------------------
@@ -643,127 +515,6 @@ TEST(Server, DefaultEngineSpellingsShareOneEstimator)
     EXPECT_EQ("compiled", warm.cache);
     EXPECT_EQ(1u, server.stats().compiledBuilds);
 }
-
-// --- The socket transport end to end -----------------------------------
-
-#if defined(QRAMSIM_SHARD_BIN) && defined(QRAMSIM_DRIVE_BIN) && \
-    defined(QRAMSIM_SERVER_BIN)
-
-/** Start qramsim_server in the background (pid recorded in
- *  DIR/server.pid) and wait until the socket accepts connections. */
-bool
-startServer(const std::string &dir, const std::string &sock,
-            const std::string &extraFlags = "")
-{
-    if (shCode(std::string(QRAMSIM_SERVER_BIN) + " --socket " + sock +
-               " " + extraFlags + " > " + dir +
-               "/server.log 2>&1 & "
-               "echo $! > " +
-               dir + "/server.pid") != 0)
-        return false;
-    for (int i = 0; i < 100; ++i) {
-        const int fd = srv::connectUnix(sock);
-        if (fd >= 0) {
-            ::close(fd);
-            return true;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return false;
-}
-
-void
-stopServer(const std::string &dir, const char *sig = "-TERM")
-{
-    shCode("kill " + std::string(sig) + " $(cat " + dir +
-           "/server.pid) 2>/dev/null; true");
-}
-
-const char kWorkload[] =
-    " --arch bb --m 4 --noise gate-depol --eps 2e-3 --shots 48 "
-    "--seed 2023 --factors 0.5,1,2";
-
-TEST(ServerCli, DriveServerIsByteIdenticalToForkExec)
-{
-    const std::string dir = tempDir("drive_server");
-    const std::string drive =
-        std::string(QRAMSIM_DRIVE_BIN) +
-        " --worker-bin " QRAMSIM_SHARD_BIN " --shards 6";
-
-    ASSERT_EQ(0, shCode(drive + " --job " + dir + "/ref" + kWorkload +
-                        " > /dev/null 2>&1"));
-    const std::string ref = readFileStr(dir + "/ref/result.json");
-    ASSERT_FALSE(ref.empty());
-
-    ASSERT_TRUE(startServer(dir, dir + "/srv.sock",
-                            "--spill " + dir + "/spill"));
-    ASSERT_EQ(0, shCode(drive + " --job " + dir + "/viaserver" +
-                        " --server " + dir + "/srv.sock" + kWorkload +
-                        " > /dev/null 2>&1"));
-    EXPECT_EQ(ref, readFileStr(dir + "/viaserver/result.json"));
-    const std::string report =
-        readFileStr(dir + "/viaserver/report.json");
-    EXPECT_NE(std::string::npos,
-              report.find("\"server_attempts\": 6"));
-    EXPECT_NE(std::string::npos,
-              report.find("\"server_transport_failures\": 0"));
-
-    // A second job against the warm server: still byte-identical,
-    // and shards report zero setup (result-cache hits).
-    ASSERT_EQ(0, shCode(drive + " --job " + dir + "/warm" +
-                        " --server " + dir + "/srv.sock" + kWorkload +
-                        " > /dev/null 2>&1"));
-    EXPECT_EQ(ref, readFileStr(dir + "/warm/result.json"));
-    EXPECT_NE(std::string::npos,
-              readFileStr(dir + "/warm/report.json")
-                  .find("\"setup_seconds\": 0,"));
-    stopServer(dir);
-}
-
-TEST(ServerCli, MissingServerDegradesToForkExecByteIdentically)
-{
-    const std::string dir = tempDir("drive_noserver");
-    const std::string drive =
-        std::string(QRAMSIM_DRIVE_BIN) +
-        " --worker-bin " QRAMSIM_SHARD_BIN " --shards 4";
-    ASSERT_EQ(0, shCode(drive + " --job " + dir + "/ref" + kWorkload +
-                        " > /dev/null 2>&1"));
-    ASSERT_EQ(0, shCode(drive + " --job " + dir + "/fallback" +
-                        " --server " + dir + "/never-existed.sock" +
-                        kWorkload + " > /dev/null 2>&1"));
-    EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
-              readFileStr(dir + "/fallback/result.json"));
-    const std::string report =
-        readFileStr(dir + "/fallback/report.json");
-    EXPECT_EQ(std::string::npos,
-              report.find("\"server_transport_failures\": 0"))
-        << "the fallback must be visible in the report";
-    // Transport failures burn no retries.
-    EXPECT_NE(std::string::npos, report.find("\"retries\": 0"));
-}
-
-TEST(ServerCli, ServerKilledMidJobStillCompletesByteIdentically)
-{
-    const std::string dir = tempDir("drive_midkill");
-    const std::string drive =
-        std::string(QRAMSIM_DRIVE_BIN) +
-        " --worker-bin " QRAMSIM_SHARD_BIN " --shards 8";
-    ASSERT_EQ(0, shCode(drive + " --job " + dir + "/ref" + kWorkload +
-                        " > /dev/null 2>&1"));
-    ASSERT_TRUE(startServer(dir, dir + "/srv.sock"));
-    // SIGKILL the server a moment into the job: whether each shard
-    // was already served or falls back, the merged result must not
-    // change and the drive must exit 0.
-    ASSERT_EQ(0,
-              shCode("( sleep 0.05; kill -KILL $(cat " + dir +
-                     "/server.pid) 2>/dev/null ) & " + drive +
-                     " --job " + dir + "/midkill --server " + dir +
-                     "/srv.sock" + kWorkload + " > /dev/null 2>&1"));
-    EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
-              readFileStr(dir + "/midkill/result.json"));
-}
-
-#endif // tool binaries available
 
 } // namespace
 } // namespace qramsim

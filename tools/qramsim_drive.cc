@@ -24,25 +24,18 @@
  *   --in-process      run shards on this process's estimator instead
  *                     of subprocesses (no deadlines/speculation — a
  *                     library call cannot be killed)
- *   --server PATH     dispatch shards to a resident qramsim_server
- *                     listening on the Unix socket PATH instead of
- *                     forking workers; the full retry/deadline/
- *                     straggler contract still applies, and any
- *                     transport failure degrades the rest of the run
- *                     to fork/exec (so --worker-bin/QRAMSIM_SHARD is
- *                     still required). Ignored with a warning when
- *                     the workload pins --tier (a server rejects
- *                     process-global pins).
  *   --broker PATH     submit the job to a qramsim_broker on the Unix
  *                     socket PATH and stream finished shards into
  *                     the job directory as checkpoints; whatever the
  *                     broker does not deliver (it dies, stalls, or
- *                     parks) is recomputed through the normal
- *                     --server / fork-exec ladder, so the result is
- *                     byte-identical either way. A dead drive can
- *                     rerun the same command line: the matching
- *                     estimate (tool::estimateKey) resumes the parked
- *                     job.
+ *                     parks) is recomputed by fork/exec workers (so
+ *                     --worker-bin/QRAMSIM_SHARD is still required),
+ *                     and the result is byte-identical either way.
+ *                     Ignored with a warning when the workload pins
+ *                     --tier (broker workers reject process-global
+ *                     pins). A dead drive can rerun the same command
+ *                     line: the matching estimate (tool::estimateKey)
+ *                     resumes the parked job.
  *   --broker-stall S  give up on the broker when no new result has
  *                     arrived for S seconds (default 60)
  *   --max-attempts N  dispatch attempts per shard (default 3)
@@ -79,8 +72,6 @@
 #include <thread>
 #include <vector>
 
-#include <sys/stat.h>
-
 #include "common/atomicfile.hh"
 #include "common/threadpool.hh"
 #include "sim/broker.hh"
@@ -98,7 +89,7 @@ usage()
         stderr,
         "usage: qramsim_drive --job DIR [--resume] [--shards N] "
         "[--workers W]\n"
-        "         [--worker-bin P | --in-process] [--server PATH] "
+        "         [--worker-bin P | --in-process] "
         "[--broker PATH] [--broker-stall S]\n"
         "         [--max-attempts N] [--backoff-base MS]\n"
         "         [--deadline SEC] [--straggler F] "
@@ -107,24 +98,6 @@ usage()
         "run]\n"
         "see the file header of tools/qramsim_drive.cc\n");
     return kToolExitUsage;
-}
-
-bool
-makeDirs(const std::string &path)
-{
-    std::string prefix;
-    for (std::size_t i = 0; i <= path.size(); ++i) {
-        if (i < path.size() && path[i] != '/') {
-            prefix += path[i];
-            continue;
-        }
-        if (!prefix.empty() &&
-            ::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST)
-            return false;
-        if (i < path.size())
-            prefix += '/';
-    }
-    return true;
 }
 
 /**
@@ -333,11 +306,6 @@ main(int argc, char **argv)
             cfg.workerBin = v;
         } else if (flag == "--in-process") {
             inProcess = true;
-        } else if (flag == "--server") {
-            const char *v = value();
-            if (!v)
-                return usage();
-            cfg.serverPath = v;
         } else if (flag == "--broker") {
             const char *v = value();
             if (!v)
@@ -413,23 +381,6 @@ main(int argc, char **argv)
     cfg.plan = SweepPlan::partition(opt.shots, cfg.requestedShards,
                                     opt.seed, opt.factors, opt.stream);
 
-    if (!cfg.serverPath.empty() && inProcess) {
-        std::fprintf(stderr,
-                     "warning: --server is a subprocess-mode "
-                     "transport; ignored with --in-process\n");
-        cfg.serverPath.clear();
-    }
-    if (!cfg.serverPath.empty() && !opt.tier.empty()) {
-        // The server rejects --tier (a process-global SIMD pin a
-        // shared process must not toggle); forcing it through would
-        // just burn one transport round-trip per shard before the
-        // inevitable fallback. Results are tier-invariant, but the
-        // user asked for the pin, so honor it via fork/exec.
-        std::fprintf(stderr,
-                     "warning: --tier pins are per-process; "
-                     "ignoring --server and using fork/exec\n");
-        cfg.serverPath.clear();
-    }
     if (!brokerPath.empty() && inProcess) {
         std::fprintf(stderr,
                      "warning: --broker is a subprocess-mode "
@@ -437,8 +388,10 @@ main(int argc, char **argv)
         brokerPath.clear();
     }
     if (!brokerPath.empty() && !opt.tier.empty()) {
-        // Broker workers are resident servers and refuse --tier for
-        // the same reason --server does.
+        // Broker workers are resident executors and refuse --tier (a
+        // process-global SIMD pin a shared process must not toggle).
+        // Results are tier-invariant, but the user asked for the pin,
+        // so honor it via fork/exec.
         std::fprintf(stderr,
                      "warning: --tier pins are per-process; "
                      "ignoring --broker and using fork/exec\n");
@@ -447,7 +400,7 @@ main(int argc, char **argv)
 
     // The broker phase runs FIRST: finished shards stream in as
     // checkpoints, and everything else (a dead broker included)
-    // falls through to the orchestrator's server/fork-exec ladder.
+    // falls through to the orchestrator's fork/exec workers.
     if (!brokerPath.empty())
         runBrokerPhase(cfg, opt, brokerPath, brokerStallSec);
 

@@ -1,35 +1,27 @@
 /**
  * @file
- * The resident estimation server CLI — and, with `--broker`, a
- * work-pulling broker worker.
+ * The broker worker CLI: a resident shard executor that pulls its
+ * work from a qramsim_broker.
  *
- *     qramsim_server --socket PATH [--threads N]
+ *     qramsim_server --broker PATH [--name NAME] [--threads N]
  *                    [--compiled-cache N] [--result-cache N]
  *                    [--spill DIR] [--spill-cap BYTES]
- *                    [--idle-timeout SEC] [--max-width N]
- *                    [--max-shots N] [--max-frame BYTES]
- *     qramsim_server --broker PATH [--name NAME] [... same knobs]
+ *                    [--max-width N] [--max-shots N]
  *
- * Socket mode listens on a Unix-domain socket for framed
- * `qramsim_shard run` requests (protocol: src/sim/server.hh) and
- * executes them over resident compiled-circuit and result caches, so
- * repeated shards of the same sweep pay zero setup and identical
- * queries pay zero compute. Run it next to
- * `qramsim_drive --server PATH`.
+ * The worker PULLS assignments from the broker on the Unix socket
+ * PATH (protocol: src/sim/broker.hh), executes each on a resident
+ * srv::Server (src/sim/server.hh) whose compiled-circuit and result
+ * caches outlive the shard, heartbeats its lease on the broker's
+ * announced interval, and commits the result. Repeated shards of the
+ * same sweep pay zero setup and identical queries pay zero compute.
+ * The pull loop consults QRAMSIM_FAULT (kill-on-pull /
+ * drop-heartbeat / lease-stall) — faults are scoped to the pulled
+ * shard's global shot range exactly like the shard CLI's, and the
+ * executor itself never injects.
  *
- * Broker mode inverts the transport: the same resident Server
- * executes shards, but instead of listening it PULLS assignments
- * from a qramsim_broker (protocol: src/sim/broker.hh), heartbeats
- * its leases on the broker's announced interval, and commits each
- * result. This is the only mode that consults QRAMSIM_FAULT
- * (kill-on-pull / drop-heartbeat / lease-stall) — faults are scoped
- * to the pulled shard's global shot range exactly like the shard
- * CLI's, and the resident socket path still never injects.
- *
- * Prints "listening on PATH" / "worker NAME pulling from PATH" once
- * ready, then serves until SIGINT/SIGTERM, exiting 0 after a clean
- * drain. Exit 2 on bad flags, 1 when the socket/broker cannot be
- * reached.
+ * Prints "worker NAME pulling from PATH" once registered, then works
+ * until SIGINT/SIGTERM, exiting 0 after a clean drain. Exit 2 on bad
+ * flags.
  */
 
 #include <algorithm>
@@ -58,13 +50,12 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: qramsim_server --socket PATH | --broker PATH\n"
+        "usage: qramsim_server --broker PATH\n"
         "                      [--name NAME] [--threads N]\n"
         "                      [--compiled-cache N] [--result-cache "
         "N]\n"
         "                      [--spill DIR] [--spill-cap BYTES]\n"
-        "                      [--idle-timeout SEC] [--max-width N]\n"
-        "                      [--max-shots N] [--max-frame BYTES]\n");
+        "                      [--max-width N] [--max-shots N]\n");
     return 2;
 }
 
@@ -256,12 +247,7 @@ main(int argc, char **argv)
             return true;
         };
         unsigned long u = 0;
-        if (flag == "--socket") {
-            const char *v = value();
-            if (!v)
-                return usage();
-            cfg.socketPath = v;
-        } else if (flag == "--broker") {
+        if (flag == "--broker") {
             const char *v = value();
             if (!v)
                 return usage();
@@ -292,18 +278,6 @@ main(int argc, char **argv)
             if (!uintVal(1ul << 40, u))
                 return usage();
             cfg.spillCapBytes = u;
-        } else if (flag == "--idle-timeout") {
-            const char *v = value();
-            if (!v)
-                return usage();
-            double d = 0.0;
-            if (!env::parseDouble(v, d) || d < 0.0) {
-                std::fprintf(stderr,
-                             "malformed value '%s' for %s\n", v,
-                             flag.c_str());
-                return usage();
-            }
-            cfg.idleTimeoutSec = d;
         } else if (flag == "--max-width") {
             if (!uintVal(64, u))
                 return usage();
@@ -312,19 +286,13 @@ main(int argc, char **argv)
             if (!uintVal(1ul << 30, u))
                 return usage();
             cfg.maxShots = u;
-        } else if (flag == "--max-frame") {
-            if (!uintVal(1ul << 31, u))
-                return usage();
-            cfg.maxFrameBytes = static_cast<std::uint32_t>(u);
         } else {
             std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
             return usage();
         }
     }
-    if (cfg.socketPath.empty() == brokerPath.empty()) {
-        std::fprintf(stderr,
-                     "exactly one of --socket / --broker is "
-                     "required\n");
+    if (brokerPath.empty()) {
+        std::fprintf(stderr, "--broker is required\n");
         return usage();
     }
 
@@ -340,59 +308,28 @@ main(int argc, char **argv)
 
     srv::Server server(cfg);
 
-    if (!brokerPath.empty()) {
-        // Broker worker: the Server runs headless (no socket); a
-        // signal thread turns SIGINT/SIGTERM into a stop flag the
-        // pull loop polls between shards.
-        if (workerName.empty())
-            workerName = "w" + std::to_string(::getpid());
-        std::atomic<bool> stop{false};
-        std::thread sigThread([&] {
-            int sig = 0;
-            sigwait(&set, &sig);
-            stop.store(true);
-        });
-        const std::size_t committed =
-            runWorker(server, brokerPath, workerName, stop);
-        if (!stop.load())
-            ::kill(::getpid(), SIGTERM); // unblock sigwait
-        sigThread.join();
-        const srv::Server::Stats st = server.stats();
-        std::fprintf(
-            stderr,
-            "worker %s committed %zu shards (%llu result hits, "
-            "%llu computed, %llu builds)\n",
-            workerName.c_str(), committed,
-            static_cast<unsigned long long>(st.resultHits),
-            static_cast<unsigned long long>(st.computed),
-            static_cast<unsigned long long>(st.compiledBuilds));
-        return 0;
-    }
-
-    std::string err;
-    if (!server.start(&err)) {
-        std::fprintf(stderr, "cannot start server: %s\n",
-                     err.c_str());
-        return 1;
-    }
-    std::printf("listening on %s\n", cfg.socketPath.c_str());
-    std::fflush(stdout);
-
-    int sig = 0;
-    sigwait(&set, &sig);
-
-    server.stop();
+    // The Server runs headless; a signal thread turns SIGINT/SIGTERM
+    // into a stop flag the pull loop polls between shards.
+    if (workerName.empty())
+        workerName = "w" + std::to_string(::getpid());
+    std::atomic<bool> stop{false};
+    std::thread sigThread([&] {
+        int sig = 0;
+        sigwait(&set, &sig);
+        stop.store(true);
+    });
+    const std::size_t committed =
+        runWorker(server, brokerPath, workerName, stop);
+    if (!stop.load())
+        ::kill(::getpid(), SIGTERM); // unblock sigwait
+    sigThread.join();
     const srv::Server::Stats st = server.stats();
     std::fprintf(stderr,
-                 "served %llu requests (%llu result hits, %llu "
-                 "coalesced, %llu computed, %llu builds, %llu idle "
-                 "timeouts)\n",
-                 static_cast<unsigned long long>(st.requests),
+                 "worker %s committed %zu shards (%llu result hits, "
+                 "%llu computed, %llu builds)\n",
+                 workerName.c_str(), committed,
                  static_cast<unsigned long long>(st.resultHits),
-                 static_cast<unsigned long long>(st.resultCoalesced),
                  static_cast<unsigned long long>(st.computed),
-                 static_cast<unsigned long long>(st.compiledBuilds),
-                 static_cast<unsigned long long>(
-                     st.transportTimeouts));
+                 static_cast<unsigned long long>(st.compiledBuilds));
     return 0;
 }

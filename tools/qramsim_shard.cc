@@ -244,7 +244,7 @@ cmdMerge(int argc, char **argv)
     parts.reserve(files.size());
     for (const std::string &path : files) {
         std::string json, err;
-        if (!tool::readFile(path, json)) {
+        if (!readFile(path, json)) {
             std::fprintf(stderr, "cannot read %s\n", path.c_str());
             return kToolExitIo;
         }

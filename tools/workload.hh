@@ -487,22 +487,6 @@ resultCacheKey(const RunOptions &opt, const ShardSpec &spec)
            std::to_string(spec.shotEnd);
 }
 
-inline bool
-readFile(const std::string &path, std::string &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    char buf[1 << 16];
-    std::size_t nr;
-    out.clear();
-    while ((nr = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out.append(buf, nr);
-    const bool ok = !std::ferror(f);
-    std::fclose(f);
-    return ok;
-}
-
 } // namespace tool
 } // namespace qramsim
 
