@@ -423,17 +423,9 @@ appendAdaptiveRecord(const std::string &path, unsigned m,
     // decreasing in the factor, so bisect.
     auto pEmptyAt = [&](double f) {
         double pe = 0.0, pz = 0.0;
-        if (!depol.classProbabilities(est.executor(), &f, 1, &pe,
-                                      &pz))
-            return -1.0;
+        depol.classProbabilities(est.executor(), &f, 1, &pe, &pz);
         return pe;
     };
-    if (pEmptyAt(1.0) < 0.0) {
-        std::fprintf(stderr,
-                     "noise model lost its closed-form class "
-                     "probabilities\n");
-        return 1;
-    }
     double lo = 0.0, hi = 1.0;
     while (pEmptyAt(hi) > 0.6 && hi < 1e9)
         hi *= 2.0;

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 
 namespace qramsim {
@@ -48,11 +49,12 @@ parseUnsigned(const char *text, unsigned long cap, unsigned long &out)
 }
 
 /**
- * Parse @p text as a finite double. Strict: no leading whitespace
- * (strtod would silently skip it), the entire string must be
- * consumed, and non-finite results (inf/nan, overflowing exponents)
- * fail. Used by the CLI tools for flag values, where a malformed
- * number must be an error rather than a silent zero.
+ * Parse @p text as a finite decimal double. Strict: no leading
+ * whitespace (strtod would silently skip it), no hexadecimal form
+ * (strtod's "0x1p1"), the entire string must be consumed, and
+ * non-finite results (inf/nan, overflowing exponents) fail. Used by
+ * the CLI tools for flag values, where a malformed number must be an
+ * error rather than a silent zero.
  */
 inline bool
 parseDouble(const char *text, double &out)
@@ -61,6 +63,8 @@ parseDouble(const char *text, double &out)
         return false;
     if (*text == ' ' || *text == '\t' || *text == '\n' ||
         *text == '\r' || *text == '\v' || *text == '\f')
+        return false;
+    if (std::strpbrk(text, "xX") != nullptr)
         return false;
     char *after = nullptr;
     const double v = std::strtod(text, &after);

@@ -802,11 +802,7 @@ FidelityEstimator::runShardAdaptive(const NoiseModel &noise,
     const double *facs =
         spec.factors.empty() ? &kUnitFactor : spec.factors.data();
     std::vector<double> pE(npts), pZ(npts), pG(npts);
-    QRAMSIM_ASSERT(noise.classProbabilities(exec, facs, npts,
-                                            pE.data(), pZ.data()),
-                   "noise model '", noise.name(),
-                   "' has no closed-form class probabilities "
-                   "(required by EstimateMode::Adaptive)");
+    noise.classProbabilities(exec, facs, npts, pE.data(), pZ.data());
     for (std::size_t j = 0; j < npts; ++j)
         pG[j] = std::max(0.0, 1.0 - pE[j] - pZ[j]);
 
@@ -935,11 +931,8 @@ FidelityEstimator::runShardAdaptive(const NoiseModel &noise,
             if (spec.factors.empty()) {
                 noise.sampleFlat(exec, rng, reals[0]);
             } else {
-                const bool ok = noise.sampleFlatSweep(
-                    exec, rng, spec.factors.data(), npts,
-                    reals.data());
-                QRAMSIM_ASSERT(ok, "noise model '", noise.name(),
-                               "' has no sweep sampler");
+                noise.sampleFlatSweep(exec, rng, spec.factors.data(),
+                                      npts, reals.data());
             }
             for (std::size_t j = 0; j < npts; ++j) {
                 if (converged[j])
@@ -1150,10 +1143,8 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
         for (std::size_t s = begin; s < end; ++s) {
             const Clock::time_point ts = Clock::now();
             auto &&rng = makeRng(s);
-            const bool ok = noise.sampleFlatSweep(
-                exec, rng, spec.factors.data(), npts, reals.data());
-            QRAMSIM_ASSERT(ok, "noise model '", noise.name(),
-                           "' has no sweep sampler");
+            noise.sampleFlatSweep(exec, rng, spec.factors.data(), npts,
+                                  reals.data());
             scratch.times.sample += secondsSince(ts);
             // One shot's sweep points replay as one ensemble batch.
             double *fs = summaryOnly ? fbuf.data()
@@ -1271,13 +1262,6 @@ FidelityEstimator::estimate(const NoiseModel &noise, std::size_t shots,
     spec.stream = (threads <= 1 || shots <= 1)
                       ? ShotStream::Sequential
                       : ShotStream::Counter;
-    if (estMode == EstimateMode::Adaptive) {
-        // Adaptive runs treat `shots` as the raw-draw budget and
-        // need the partition-invariant counter streams.
-        spec.mode = EstimateMode::Adaptive;
-        spec.policy = apolicy;
-        spec.stream = ShotStream::Counter;
-    }
     return runShardImpl(noise, spec, /*keepRows=*/false)
         .finalize()
         .front();
@@ -1302,11 +1286,6 @@ FidelityEstimator::estimateSweep(const NoiseModel &noise,
     spec.stream = (threads <= 1 || shots <= 1)
                       ? ShotStream::Sequential
                       : ShotStream::Counter;
-    if (estMode == EstimateMode::Adaptive) {
-        spec.mode = EstimateMode::Adaptive;
-        spec.policy = apolicy;
-        spec.stream = ShotStream::Counter;
-    }
     return runShardImpl(noise, spec, /*keepRows=*/false).finalize();
 }
 
@@ -1332,22 +1311,17 @@ FidelityEstimator::adaptiveRun(const NoiseModel &noise,
     // draws — the stopping rule usually ends the run far earlier.
     std::size_t budget = apolicy.maxDraws;
     if (budget == 0) {
-        if (factors.empty())
-            noise.prepare(exec);
-        else
-            noise.prepareSweep(exec, factors.data(), npts);
         static const double kUnitFactor = 1.0;
         const double *facs =
             factors.empty() ? &kUnitFactor : factors.data();
         std::vector<double> pEv(npts), pZv(npts);
+        noise.classProbabilities(exec, facs, npts, pEv.data(),
+                                 pZv.data());
         double minRate = 1.0;
-        if (noise.classProbabilities(exec, facs, npts, pEv.data(),
-                                     pZv.data())) {
-            for (std::size_t j = 0; j < npts; ++j) {
-                const double rate = std::max(0.0, 1.0 - pEv[j]);
-                if (rate > 0.0)
-                    minRate = std::min(minRate, rate);
-            }
+        for (std::size_t j = 0; j < npts; ++j) {
+            const double rate = std::max(0.0, 1.0 - pEv[j]);
+            if (rate > 0.0)
+                minRate = std::min(minRate, rate);
         }
         const double perPoint =
             2.0 * static_cast<double>(apolicy.maxShots) /

@@ -246,8 +246,6 @@ class FidelityEstimator
      * numbers, so the sweep is smooth in the factor and the sampling
      * cost is paid once per shot instead of once per point). The
      * points of a shot are replayed as one batched ensemble pass.
-     * Requires a model with sweep support (all bundled models:
-     * QubitChannelNoise, GateNoise, DeviceNoise); panics otherwise.
      * A single factor f reproduces estimate() with all rates scaled
      * by f bit for bit.
      */
@@ -278,19 +276,7 @@ class FidelityEstimator
     PartialEstimate runShard(const NoiseModel &noise,
                              const ShardSpec &spec) const;
 
-    /**
-     * Select the estimation policy estimate()/estimateSweep() run
-     * under (default Replay — the bit-identical fixed-budget path;
-     * see EstimateMode). Under Adaptive their `shots` argument is the
-     * RAW DRAW budget, the stream is forced to Counter, and results
-     * are statistically equivalent but not bit-identical to Replay.
-     */
-    void setEstimateMode(EstimateMode m) { estMode = m; }
-
-    EstimateMode estimateMode() const { return estMode; }
-
-    /** Adaptive policy used by estimate()/estimateSweep() under
-     *  EstimateMode::Adaptive and by estimate{,Sweep}Adaptive(). */
+    /** Adaptive policy used by estimate{,Sweep}Adaptive(). */
     void setAdaptivePolicy(const AdaptivePolicy &p) { apolicy = p; }
 
     const AdaptivePolicy &adaptivePolicy() const { return apolicy; }
@@ -303,8 +289,7 @@ class FidelityEstimator
      * half-width reaches the target (or the budget runs out), with
      * the empty class folded in analytically at zero shot cost and
      * kept shots allocated Neyman-style across the Z-only/general
-     * strata. Requires a noise model with closed-form class
-     * probabilities (all bundled models); panics otherwise.
+     * strata (NoiseModel::classProbabilities).
      */
     AdaptiveReport estimateAdaptive(const NoiseModel &noise,
                                     std::uint64_t seed,
@@ -630,10 +615,6 @@ class FidelityEstimator
     /** Cached shot result of the empty realization. */
     double emptyFull = 0.0;
     double emptyReduced = 0.0;
-
-    /** Estimation policy of estimate()/estimateSweep()
-     *  (setEstimateMode). */
-    EstimateMode estMode = EstimateMode::Replay;
 
     /** Adaptive knobs (setAdaptivePolicy). */
     AdaptivePolicy apolicy;

@@ -1,19 +1,30 @@
 /**
  * @file
- * Noise models (Secs. 5-6).
+ * Noise models (Secs. 5-6) and the one sampler they share.
  *
- * Two sampling granularities, both Pauli channels so the Feynman-path
- * property is preserved:
+ * Every bundled model is a Pauli channel applied at *exposure sites*:
+ * each site draws one uniform u and suffers X, Y or Z when u falls
+ * below the cumulative thresholds of its rates, independently of every
+ * other site, so the Feynman-path property is preserved. The models
+ * differ only in where the sites are and which rates each one uses:
  *
- *  - QubitChannelNoise — the Sec. 5.1 analysis model: at every schedule
- *    moment each qubit independently suffers X with probability epsX and
- *    Z with probability epsZ. Pure phase-flip / bit-flip channels are the
- *    special cases used for Figs. 10-11.
+ *  - QubitChannelNoise — the Sec. 5.1 analysis model: after every
+ *    schedule moment (or every logical round) each qubit is a site,
+ *    and all sites share one rate row. Pure phase-flip / bit-flip
+ *    channels are the special cases used for Figs. 10-11.
  *
- *  - GateNoise — the Sec. 6.3 evaluation model: after each gate, each
- *    operand qubit suffers a Pauli error drawn with per-gate-class rates
- *    (Monte Carlo sampling applied to quantum gates). DeviceNoise (for
- *    the Appendix A experiment) is GateNoise with separate 1q/2q rates.
+ *  - GateNoise — the Sec. 6.3 evaluation model (Monte Carlo sampling
+ *    applied to quantum gates): every operand of every gate is a
+ *    site, with that gate's rates; one row per gate.
+ *
+ *  - DeviceNoise — the Appendix A device channel: GateNoise's sites
+ *    with separate 1q/2q rates; one row per arity class.
+ *
+ * So a model supplies only three things: its reference sample() (the
+ * per-Gate walk the tests compare against), its site enumeration, and
+ * the rates of one of its rows at a rate factor. NoiseModel builds
+ * one SampleSites schedule per circuit from them and serves every
+ * flat sampler and the closed-form class probabilities from it.
  *
  * An "error reduction factor" eps_r divides all rates, matching the
  * paper's definition eps_r = current error rate / future error rate.
@@ -57,107 +68,98 @@ struct PauliRates
 };
 
 /**
- * A flattened sampling schedule for gate-anchored channels: one entry
- * per operand site, in program order (controls then targets, barriers
- * skipped — exactly the draw order of sample()/sampleFlat), carrying
- * the stream position the event anchors to and the gate's cumulative
- * Pauli thresholds (r.x, r.x + r.y, (r.x + r.y) + r.z — the very
- * sums drawPauliFlat computes, so precomputing them changes no
- * comparison). prepare() builds it once per circuit; sampleFlat then
- * streams one contiguous array — one uniform and usually one compare
- * per site — instead of re-walking heap-allocated Gate operand
- * vectors every shot, which is the dominant sampling cost at QRAM
- * circuit sizes.
+ * One circuit's draw schedule: every exposure site in the order
+ * sample() draws its uniforms, with the stream position its event
+ * fires at, its qubit and its rate row. Rates live per row, not per
+ * site, as cumulative thresholds tx = r.x, txy = r.x + r.y and
+ * txyz = (r.x + r.y) + r.z — the sums sample() compares against, so
+ * precomputing them changes no decision.
+ *
+ * A Rows table holds those thresholds for a list of rate factors,
+ * row-major ([row * factors.size() + j]), plus each row's integer
+ * rejection cut per generator family (Rng::cutFor /
+ * CounterRng::cutFor of the row's largest txyz). The streaming
+ * sampler compares one raw engine draw per site against its row's
+ * cut and converts to double — then making exactly the threshold
+ * compares sample() makes — only when an event may have fired. One
+ * uniform per site serves every factor: common random numbers across
+ * a sweep, and factor j's events are exactly those of a model whose
+ * rates were scaled by factors[j].
  */
 struct SampleSites
 {
     struct Site
     {
-        std::uint32_t pos; ///< stream position (gatePos + 1)
+        std::uint32_t pos; ///< stream position the event fires at
         std::uint32_t qubit;
-        double tx;   ///< X threshold
-        double txy;  ///< X+Y threshold
-        double txyz; ///< X+Y+Z threshold (any-event cut)
+        std::uint32_t row; ///< rate row (the model's numbering)
+    };
+
+    struct Rows
+    {
+        std::vector<double> factors;
+        std::vector<double> tx, txy, txyz;
+        std::vector<std::uint64_t> cutSeq; ///< Rng (sequential Mersenne)
+        std::vector<std::uint64_t> cutCtr; ///< CounterRng (threaded)
     };
 
     std::vector<Site> sites;
 
-    /** Program gate index per site (sweep-table row lookup). */
-    std::vector<std::uint32_t> gate;
+    /** Sites per row (the closed-form class probabilities). */
+    std::vector<std::uint64_t> rowSites;
 
-    /**
-     * Per-site integer rejection cuts (Rng::cutFor /
-     * CounterRng::cutFor of txyz): the streaming sampler compares the
-     * raw engine draw against the cut and only converts to double —
-     * with exactly the original threshold compares — when an event
-     * might have fired. One row per generator family, since their
-     * bits→uniform mappings differ.
-     */
-    std::vector<std::uint64_t> cutSeq; ///< Rng (sequential Mersenne)
-    std::vector<std::uint64_t> cutCtr; ///< CounterRng (threaded)
-
-    bool empty() const { return sites.empty(); }
-
-    void
-    clear()
-    {
-        sites.clear();
-        gate.clear();
-        cutSeq.clear();
-        cutCtr.clear();
-    }
+    Rows unit;  ///< factor 1: sampleFlat
+    Rows sweep; ///< prepareSweep's factors: sampleFlatSweep
 };
 
-/** Interface: sample one error realization for one Monte Carlo shot. */
+/**
+ * A Pauli channel at exposure sites. Subclasses enumerate the sites
+ * and give each row's rates; everything else — the cached schedule,
+ * both generator families, sweeps and class probabilities — is this
+ * one implementation.
+ */
 class NoiseModel
 {
   public:
     virtual ~NoiseModel() = default;
 
-    /** Sample a shot's error realization for @p exec's circuit. */
+    /**
+     * Sample a shot's error realization for @p exec's circuit by
+     * walking its Gates: the reference the flat samplers must match
+     * draw for draw.
+     */
     virtual ErrorRealization sample(const FeynmanExecutor &exec,
                                     Rng &rng) const = 0;
 
     /**
-     * One-time per-circuit precomputation (e.g. effective per-gate
-     * rates). Call it before a shot loop; subsequent sampleFlat calls
-     * for the same executor are then read-only and safe to run
+     * Build the site schedule for @p exec's circuit (and its factor-1
+     * thresholds). Call it before a shot loop; sampleFlat calls for
+     * the same executor are then read-only and safe to run
      * concurrently. Idempotent, and itself safe to call from several
      * threads — but sharing one model instance between concurrently
      * running shot loops over *different* circuits is unsupported
-     * (one loop's prepare would invalidate the other's cache
+     * (one loop's prepare would rebuild the other's schedule
      * mid-flight; use one instance per circuit instead).
      */
-    virtual void prepare(const FeynmanExecutor &exec) const
-    {
-        (void)exec;
-    }
+    void prepare(const FeynmanExecutor &exec) const;
 
     /**
-     * Sweep twin of prepare(): additionally precompute whatever the
-     * model needs to serve sampleFlatSweep for these @p factors
-     * read-only (e.g. the per-factor effective-rate threshold tables
-     * of the weighted gate channels). The base implementation just
-     * calls prepare(). Same idempotence and concurrency contract as
-     * prepare(); estimateSweep and sharded sweeps call it before
-     * their shot loops.
+     * prepare() plus the thresholds for these @p factors, so
+     * sampleFlatSweep runs read-only. Same idempotence and
+     * concurrency contract as prepare(); one factor list is cached at
+     * a time.
      */
-    virtual void prepareSweep(const FeynmanExecutor &exec,
-                              const double *factors,
-                              std::size_t n) const
-    {
-        (void)factors;
-        (void)n;
-        prepare(exec);
-    }
+    void prepareSweep(const FeynmanExecutor &exec, const double *factors,
+                      std::size_t n) const;
 
     /**
      * Sample a shot directly into a flattened, position-sorted
      * realization (reusing @p out's storage). Draws from @p rng in
      * exactly the same sequence as sample(), so a fixed seed yields
-     * the same errors through either entry point. The base
-     * implementation samples and flattens; subclasses override with
-     * allocation-free fast paths.
+     * the same errors through either entry point. Panics unless
+     * prepare() or prepareSweep() ran for this circuit. Virtual only
+     * so a test double can wrap it; the bundled models do not
+     * override it.
      */
     virtual void sampleFlat(const FeynmanExecutor &exec, Rng &rng,
                             FlatRealization &out) const;
@@ -169,7 +171,7 @@ class NoiseModel
      */
     virtual void sampleFlat(const FeynmanExecutor &exec,
                             CounterRng &rng,
-                            FlatRealization &out) const = 0;
+                            FlatRealization &out) const;
 
     /**
      * Sweep sampling for batched eps_r sweeps
@@ -180,30 +182,17 @@ class NoiseModel
      * across the sweep, so the per-shot sampling cost is paid once
      * instead of once per sweep point and the resulting curves are
      * smooth in the factor. outs[j] receives point j's realization.
-     * All bundled models support sweeps (QubitChannelNoise scales
-     * its per-site thresholds; GateNoise / DeviceNoise read the
-     * per-factor effective-rate tables built by prepareSweep); a
-     * model without a sweep sampler returns false (the base
-     * implementation) and callers must check.
+     * Consumes the same draws as sampleFlat. Panics unless
+     * prepareSweep() ran for this circuit and these factors.
      */
-    virtual bool
-    sampleFlatSweep(const FeynmanExecutor &exec, Rng &rng,
-                    const double *factors, std::size_t n,
-                    FlatRealization *outs) const
-    {
-        (void)exec; (void)rng; (void)factors; (void)n; (void)outs;
-        return false;
-    }
+    void sampleFlatSweep(const FeynmanExecutor &exec, Rng &rng,
+                         const double *factors, std::size_t n,
+                         FlatRealization *outs) const;
 
     /** Counter-stream twin of the sweep sampler. */
-    virtual bool
-    sampleFlatSweep(const FeynmanExecutor &exec, CounterRng &rng,
-                    const double *factors, std::size_t n,
-                    FlatRealization *outs) const
-    {
-        (void)exec; (void)rng; (void)factors; (void)n; (void)outs;
-        return false;
-    }
+    void sampleFlatSweep(const FeynmanExecutor &exec, CounterRng &rng,
+                         const double *factors, std::size_t n,
+                         FlatRealization *outs) const;
 
     /**
      * Closed-form shot-class probabilities, per sweep factor: the
@@ -215,26 +204,61 @@ class NoiseModel
      *   P(empty)  = prod_sites (1 - txyz_i),
      *   P(Z-only) = prod_sites (1 - txy_i) - P(empty),
      *
-     * evaluated in log space (sum of log1p) over exactly the site
-     * multiset the model's samplers draw from. The adaptive estimator
-     * folds the empty stratum's fidelity contribution analytically
-     * with these weights — zero shots spent on the empty class — and
-     * uses them as stratum weights for Z-only/general allocation.
-     * Writes pEmpty[j] / pZOnly[j] for each factors[j] and returns
-     * true; a model without closed-form probabilities returns false
-     * (the base implementation) and callers must check.
+     * evaluated in log space (sum of log1p, row by row in row order)
+     * over exactly the schedule the samplers draw from. The adaptive
+     * estimator folds the empty stratum's fidelity contribution
+     * analytically with these weights — zero shots spent on the empty
+     * class — and uses them as stratum weights for Z-only/general
+     * allocation. Writes pEmpty[j] / pZOnly[j] for each factors[j];
+     * prepares the schedule itself.
      */
-    virtual bool
-    classProbabilities(const FeynmanExecutor &exec,
-                       const double *factors, std::size_t n,
-                       double *pEmpty, double *pZOnly) const
-    {
-        (void)exec; (void)factors; (void)n;
-        (void)pEmpty; (void)pZOnly;
-        return false;
-    }
+    void classProbabilities(const FeynmanExecutor &exec,
+                            const double *factors, std::size_t n,
+                            double *pEmpty, double *pZOnly) const;
 
     virtual std::string name() const = 0;
+
+  protected:
+    /** Append every exposure site of @p exec's circuit in draw order. */
+    virtual void enumerateSites(const FeynmanExecutor &exec,
+                                std::vector<SampleSites::Site> &out)
+        const = 0;
+
+    /**
+     * The rates of schedule row @p row with every base rate scaled by
+     * @p factor. scaled(1.0) is exact, so factor 1 gives the model's
+     * own rates.
+     */
+    virtual PauliRates rowRates(const FeynmanExecutor &exec,
+                                std::uint32_t row,
+                                double factor) const = 0;
+
+  private:
+    /** Fill @p rows with every row's thresholds at these factors. */
+    void buildRows(const FeynmanExecutor &exec, const double *factors,
+                   std::size_t n, SampleSites::Rows &rows) const;
+
+    /** The prepared factor-1 table of @p exec's circuit (panics when
+     *  prepare() did not run for it). */
+    const SampleSites::Rows &unitRows(const FeynmanExecutor &exec) const;
+
+    /** The prepared table for these factors (panics when
+     *  prepareSweep() did not run for them). */
+    const SampleSites::Rows &sweepRows(const FeynmanExecutor &exec,
+                                       const double *factors,
+                                       std::size_t n) const;
+
+    /**
+     * The schedule of the circuit at preparedFor, keyed by address
+     * plus a structural fingerprint of the gate list so a mutated
+     * circuit (or a new one reusing the address) rebuilds instead of
+     * reading stale — or out-of-bounds — sites. Written only under
+     * prepMutex; the samplers only read it.
+     */
+    mutable std::mutex prepMutex;
+    mutable const Circuit *preparedFor = nullptr;
+    mutable std::uint64_t preparedFingerprint = 0;
+    mutable SampleSites sched;
 };
 
 /**
@@ -259,33 +283,6 @@ class QubitChannelNoise : public NoiseModel
     ErrorRealization sample(const FeynmanExecutor &exec,
                             Rng &rng) const override;
 
-    /** Precompute the per-factor threshold row (the rates are linear
-     *  in the factor) so sampleFlatSweep runs allocation-free. */
-    void prepareSweep(const FeynmanExecutor &exec,
-                      const double *factors,
-                      std::size_t n) const override;
-
-    void sampleFlat(const FeynmanExecutor &exec, Rng &rng,
-                    FlatRealization &out) const override;
-
-    void sampleFlat(const FeynmanExecutor &exec, CounterRng &rng,
-                    FlatRealization &out) const override;
-
-    bool sampleFlatSweep(const FeynmanExecutor &exec, Rng &rng,
-                         const double *factors, std::size_t n,
-                         FlatRealization *outs) const override;
-
-    bool sampleFlatSweep(const FeynmanExecutor &exec, CounterRng &rng,
-                         const double *factors, std::size_t n,
-                         FlatRealization *outs) const override;
-
-    /** Closed form over the (depth or rounds) x numQubits identical
-     *  sites of the channel. */
-    bool classProbabilities(const FeynmanExecutor &exec,
-                            const double *factors, std::size_t n,
-                            double *pEmpty,
-                            double *pZOnly) const override;
-
     std::string name() const override { return "qubit-channel"; }
 
     /**
@@ -299,24 +296,18 @@ class QubitChannelNoise : public NoiseModel
         return 2 * m + 3 * (1u << k) + 2;
     }
 
+  protected:
+    /** The exposed moments x qubits grid, moment-major; one row. */
+    void enumerateSites(const FeynmanExecutor &exec,
+                        std::vector<SampleSites::Site> &out)
+        const override;
+
+    PauliRates rowRates(const FeynmanExecutor &exec, std::uint32_t row,
+                        double factor) const override;
+
   private:
-    template <class R>
-    void sampleFlatImpl(const FeynmanExecutor &exec, R &rng,
-                        FlatRealization &out) const;
-
-    template <class R>
-    void sampleFlatSweepImpl(const FeynmanExecutor &exec, R &rng,
-                             const double *factors, std::size_t n,
-                             FlatRealization *outs) const;
-
     PauliRates rates;
     unsigned rounds;
-
-    /** prepareSweep() cache (factor-keyed; no circuit dependence). */
-    mutable std::mutex prepMutex;
-    mutable std::vector<double> sweepFactors;
-    mutable std::vector<double> swTx, swTxy, swTxyz;
-    mutable double swCut = 0.0;
 };
 
 /**
@@ -340,97 +331,30 @@ class GateNoise : public NoiseModel
     ErrorRealization sample(const FeynmanExecutor &exec,
                             Rng &rng) const override;
 
-    void prepare(const FeynmanExecutor &exec) const override;
-
-    /**
-     * prepare() plus the per-factor effective-rate table: for every
-     * (gate, factor) pair the decomposition-weighted thresholds of
-     * the base rates scaled by that factor — the nonlinearity
-     * 1-(1-p*f)^w makes this a genuine table, not a rescale of the
-     * eps_r = 1 rates. sampleFlatSweep then runs read-only; point j
-     * is draw-for-draw identical to sampleFlat with
-     * rates.scaled(factors[j]).
-     */
-    void prepareSweep(const FeynmanExecutor &exec,
-                      const double *factors,
-                      std::size_t n) const override;
-
-    void sampleFlat(const FeynmanExecutor &exec, Rng &rng,
-                    FlatRealization &out) const override;
-
-    void sampleFlat(const FeynmanExecutor &exec, CounterRng &rng,
-                    FlatRealization &out) const override;
-
-    bool sampleFlatSweep(const FeynmanExecutor &exec, Rng &rng,
-                         const double *factors, std::size_t n,
-                         FlatRealization *outs) const override;
-
-    bool sampleFlatSweep(const FeynmanExecutor &exec, CounterRng &rng,
-                         const double *factors, std::size_t n,
-                         FlatRealization *outs) const override;
-
-    /** Closed form over the per-gate operand sites, with the same
-     *  effectiveRatesFor thresholds the sweep tables are built from
-     *  (the 1-(1-p*f)^w nonlinearity included). */
-    bool classProbabilities(const FeynmanExecutor &exec,
-                            const double *factors, std::size_t n,
-                            double *pEmpty,
-                            double *pZOnly) const override;
-
     std::string name() const override { return "gate"; }
 
-  private:
     /**
-     * Effective (decomposition-weighted) rates of @p base for one
-     * gate — shared by the eps_r = 1 prepare() table and the sweep
-     * tables (base = rates.scaled(factor)) so both compute
-     * bit-identical thresholds.
+     * Effective rates of @p base for one gate: with @p weighted, each
+     * rate p becomes 1-(1-p)^w for the gate's decomposed CX count w,
+     * so a sweep's rows are a genuine table, not a rescale of the
+     * eps_r = 1 rates.
      */
     static PauliRates effectiveRatesFor(const PauliRates &base,
                                         const Gate &g, bool weighted);
 
-    /** Effective rates for one gate at the model's own rates. */
-    PauliRates effectiveRates(const Gate &g) const;
+  protected:
+    /** Operand sites in program order (controls then targets,
+     *  barriers skipped); row = gate index. */
+    void enumerateSites(const FeynmanExecutor &exec,
+                        std::vector<SampleSites::Site> &out)
+        const override;
 
-    template <class R>
-    void sampleFlatImpl(const FeynmanExecutor &exec, R &rng,
-                        FlatRealization &out) const;
+    PauliRates rowRates(const FeynmanExecutor &exec, std::uint32_t row,
+                        double factor) const override;
 
-    template <class R>
-    void sampleFlatSweepImpl(const FeynmanExecutor &exec, R &rng,
-                             const double *factors, std::size_t n,
-                             FlatRealization *outs) const;
-
+  private:
     PauliRates rates;
     bool weighted;
-
-    /**
-     * prepare() cache: per-gate effective rates for one circuit,
-     * keyed by address plus a structural fingerprint of the gate
-     * list so a mutated circuit (or a new one reusing the address)
-     * recomputes instead of reading stale — or out-of-bounds — rates.
-     * Guarded by prepMutex; sampleFlat only reads (and falls back to
-     * per-gate computation on a cache miss rather than mutating).
-     */
-    mutable std::mutex prepMutex;
-    mutable const Circuit *preparedFor = nullptr;
-    mutable std::uint64_t preparedFingerprint = 0;
-    mutable std::vector<PauliRates> perGate;
-
-    /** Flattened draw schedule (built with perGate; same validity). */
-    mutable SampleSites sched;
-
-    /**
-     * prepareSweep() cache: per-(gate, factor) thresholds in
-     * gate-major layout ([gi*n + j]) plus the per-gate max threshold
-     * (one uniform rejects all sweep points at once). Same guard and
-     * read-only probe discipline as the perGate cache.
-     */
-    mutable std::vector<double> sweepFactors;
-    mutable const Circuit *sweepPreparedFor = nullptr;
-    mutable std::uint64_t sweepFingerprint = 0;
-    mutable std::vector<double> swTx, swTxy, swTxyz;
-    mutable std::vector<double> swCut;
 };
 
 /**
@@ -454,65 +378,20 @@ class DeviceNoise : public NoiseModel
     ErrorRealization sample(const FeynmanExecutor &exec,
                             Rng &rng) const override;
 
-    /** Flatten the per-arity draw schedule (see SampleSites). */
-    void prepare(const FeynmanExecutor &exec) const override;
-
-    /** Precompute the per-factor 1q/2q threshold rows so
-     *  sampleFlatSweep runs read-only. */
-    void prepareSweep(const FeynmanExecutor &exec,
-                      const double *factors,
-                      std::size_t n) const override;
-
-    void sampleFlat(const FeynmanExecutor &exec, Rng &rng,
-                    FlatRealization &out) const override;
-
-    void sampleFlat(const FeynmanExecutor &exec, CounterRng &rng,
-                    FlatRealization &out) const override;
-
-    bool sampleFlatSweep(const FeynmanExecutor &exec, Rng &rng,
-                         const double *factors, std::size_t n,
-                         FlatRealization *outs) const override;
-
-    bool sampleFlatSweep(const FeynmanExecutor &exec, CounterRng &rng,
-                         const double *factors, std::size_t n,
-                         FlatRealization *outs) const override;
-
-    /** Closed form over the 1q/2q operand-site counts. */
-    bool classProbabilities(const FeynmanExecutor &exec,
-                            const double *factors, std::size_t n,
-                            double *pEmpty,
-                            double *pZOnly) const override;
-
     std::string name() const override { return "device"; }
 
+  protected:
+    /** GateNoise's operand sites; row 0 = 1q gates, row 1 = wider. */
+    void enumerateSites(const FeynmanExecutor &exec,
+                        std::vector<SampleSites::Site> &out)
+        const override;
+
+    PauliRates rowRates(const FeynmanExecutor &exec, std::uint32_t row,
+                        double factor) const override;
+
   private:
-    template <class R>
-    void sampleFlatImpl(const FeynmanExecutor &exec, R &rng,
-                        FlatRealization &out) const;
-
-    template <class R>
-    void sampleFlatSweepImpl(const FeynmanExecutor &exec, R &rng,
-                             const double *factors, std::size_t n,
-                             FlatRealization *outs) const;
-
     PauliRates rates1q;
     PauliRates rates2q;
-
-    /** prepareSweep() cache: per-factor thresholds for each arity
-     *  class (the rates are linear in the factor, so no per-gate
-     *  table is needed). */
-    mutable std::mutex prepMutex;
-
-    /** prepare() cache: the flattened draw schedule (SampleSites),
-     *  keyed like GateNoise's per-gate table. */
-    mutable const Circuit *preparedFor = nullptr;
-    mutable std::uint64_t preparedFingerprint = 0;
-    mutable SampleSites sched;
-
-    mutable std::vector<double> sweepFactors;
-    mutable std::vector<double> sw1x, sw1xy, sw1xyz;
-    mutable std::vector<double> sw2x, sw2xy, sw2xyz;
-    mutable double swCut1 = 0.0, swCut2 = 0.0;
 };
 
 } // namespace qramsim

@@ -92,15 +92,15 @@ expectClassProbsMatchEmpirical(const NoiseModel &noise,
     const std::size_t npts = factors.size();
     noise.prepareSweep(exec, factors.data(), npts);
     std::vector<double> pE(npts), pZ(npts);
-    ASSERT_TRUE(noise.classProbabilities(exec, factors.data(), npts,
-                                         pE.data(), pZ.data()));
+    noise.classProbabilities(exec, factors.data(), npts, pE.data(),
+                             pZ.data());
 
     std::vector<std::size_t> nEmpty(npts, 0), nZOnly(npts, 0);
     std::vector<FlatRealization> outs(npts);
     Rng rng(13013);
     for (std::size_t d = 0; d < draws; ++d) {
-        ASSERT_TRUE(noise.sampleFlatSweep(exec, rng, factors.data(),
-                                          npts, outs.data()));
+        noise.sampleFlatSweep(exec, rng, factors.data(), npts,
+                              outs.data());
         for (std::size_t j = 0; j < npts; ++j) {
             if (outs[j].empty())
                 ++nEmpty[j];
@@ -157,6 +157,81 @@ TEST(AdaptiveClassProbs, MatchEmpiricalFrequenciesAllModels)
     }
 }
 
+/** k * log1p(-t) with the closed form's degenerate ends. */
+double
+logNoEventOracle(double t, double k)
+{
+    if (t >= 1.0)
+        return -HUGE_VAL;
+    if (t <= 0.0 || k <= 0.0)
+        return 0.0;
+    return k * std::log1p(-t);
+}
+
+TEST(AdaptiveClassProbs, ClosedFormSumsRowsInDrawOrderBitForBit)
+{
+    // The Adaptive partials carry these probabilities verbatim, so the
+    // summation order is part of the result: one term per gate in
+    // program order for GateNoise, the 1q then the 2q class for
+    // DeviceNoise, one term for the qubit channel.
+    Rng memRng(2028);
+    Memory mem = Memory::random(3, memRng);
+    QueryCircuit qc = BucketBrigadeQram(3).build(mem);
+    FeynmanExecutor exec(qc.circuit);
+    const std::vector<double> factors = {0.5, 1.0, 2.0};
+    const std::size_t npts = factors.size();
+
+    // terms(f, term) calls term(rates, sites) once per oracle term.
+    auto expectClosedForm = [&](const NoiseModel &noise, auto &&terms) {
+        SCOPED_TRACE(noise.name());
+        std::vector<double> pE(npts), pZ(npts);
+        noise.classProbabilities(exec, factors.data(), npts, pE.data(),
+                                 pZ.data());
+        for (std::size_t j = 0; j < npts; ++j) {
+            double logE = 0.0, logXY = 0.0;
+            terms(factors[j], [&](const PauliRates &r, double sites) {
+                const double txy = r.x + r.y;
+                logE += logNoEventOracle(txy + r.z, sites);
+                logXY += logNoEventOracle(txy, sites);
+            });
+            const double wantE = std::exp(logE);
+            EXPECT_EQ(pE[j], wantE);
+            EXPECT_EQ(pZ[j], std::max(0.0, std::exp(logXY) - wantE));
+        }
+    };
+
+    const PauliRates depol = PauliRates::depolarizing(2e-3);
+    std::size_t sites1 = 0, sites2 = 0;
+    for (const Gate &g : qc.circuit.gates())
+        if (g.kind != GateKind::Barrier)
+            (g.aritytotal() >= 2 ? sites2 : sites1) +=
+                g.controls.size() + g.targets.size();
+    for (bool weighted : {true, false}) {
+        expectClosedForm(
+            GateNoise(depol, weighted), [&](double f, auto &&term) {
+                for (const Gate &g : qc.circuit.gates())
+                    if (g.kind != GateKind::Barrier)
+                        term(GateNoise::effectiveRatesFor(
+                                 depol.scaled(f), g, weighted),
+                             double(g.controls.size() +
+                                    g.targets.size()));
+            });
+    }
+    const PauliRates wide = PauliRates::depolarizing(5e-3);
+    expectClosedForm(DeviceNoise(depol, wide),
+                     [&](double f, auto &&term) {
+                         term(depol.scaled(f), double(sites1));
+                         term(wide.scaled(f), double(sites2));
+                     });
+    const unsigned rounds = 3;
+    ASSERT_GT(exec.schedule().depth(), rounds);
+    expectClosedForm(QubitChannelNoise(depol, rounds),
+                     [&](double f, auto &&term) {
+                         term(depol.scaled(f),
+                              double(rounds * qc.circuit.numQubits()));
+                     });
+}
+
 TEST(AdaptiveClassProbs, PureZNoiseHasNoGeneralStratum)
 {
     Rng memRng(2027);
@@ -168,9 +243,8 @@ TEST(AdaptiveClassProbs, PureZNoiseHasNoGeneralStratum)
     GateNoise noise(PauliRates::phaseFlip(2e-3));
     noise.prepareSweep(exec, factors.data(), factors.size());
     std::vector<double> pE(factors.size()), pZ(factors.size());
-    ASSERT_TRUE(noise.classProbabilities(exec, factors.data(),
-                                         factors.size(), pE.data(),
-                                         pZ.data()));
+    noise.classProbabilities(exec, factors.data(), factors.size(),
+                             pE.data(), pZ.data());
     for (std::size_t j = 0; j < factors.size(); ++j) {
         // txy = 0 for pure-Z rates, so P(Z-only) = 1 - P(empty)
         // EXACTLY and the general stratum has zero weight.

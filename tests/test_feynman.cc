@@ -298,29 +298,70 @@ TEST(Compiled, NoisyRunMatchesReferenceOnQramCircuit)
 
 TEST(Compiled, FlatSamplingMatchesLegacySampling)
 {
-    // sampleFlat must consume the RNG exactly like sample() and place
-    // the same events at equivalent stream positions.
+    // Every model's prepared schedule must consume the RNG exactly like
+    // its Gate-walking sample() and place the same events at
+    // equivalent stream positions.
     Rng rng(404);
     Memory mem = Memory::random(3, rng);
     QueryCircuit qc = VirtualQram(2, 1).build(mem);
     FeynmanExecutor ex(qc.circuit);
-    GateNoise noise(PauliRates::depolarizing(5e-3));
-    Rng a(77), b(77);
-    for (int shot = 0; shot < 10; ++shot) {
-        ErrorRealization legacy = noise.sample(ex, a);
-        FlatRealization direct;
-        noise.sampleFlat(ex, b, direct);
-        FlatRealization flattened;
-        ex.flatten(legacy, flattened);
-        ASSERT_EQ(direct.events.size(), flattened.events.size());
-        for (std::size_t i = 0; i < direct.events.size(); ++i) {
-            EXPECT_EQ(direct.events[i].pos, flattened.events[i].pos);
-            EXPECT_EQ(direct.events[i].qubit,
-                      flattened.events[i].qubit);
-            EXPECT_EQ(direct.events[i].pauli,
-                      flattened.events[i].pauli);
+    const PauliRates depol = PauliRates::depolarizing(5e-3);
+    const QubitChannelNoise perMoment(depol);
+    const QubitChannelNoise perRound(
+        depol, QubitChannelNoise::virtualQramRounds(2, 1));
+    const GateNoise weighted(depol);
+    const GateNoise flat(depol, false);
+    const DeviceNoise device(depol, PauliRates::depolarizing(2e-2));
+    const NoiseModel *models[] = {&perMoment, &perRound, &weighted,
+                                  &flat, &device};
+    for (const NoiseModel *noise : models) {
+        SCOPED_TRACE(noise->name());
+        noise->prepare(ex);
+        Rng a(77), b(77);
+        std::size_t events = 0;
+        for (int shot = 0; shot < 10; ++shot) {
+            ErrorRealization legacy = noise->sample(ex, a);
+            FlatRealization direct;
+            noise->sampleFlat(ex, b, direct);
+            FlatRealization flattened;
+            ex.flatten(legacy, flattened);
+            ASSERT_EQ(direct.events.size(), flattened.events.size());
+            events += direct.events.size();
+            for (std::size_t i = 0; i < direct.events.size(); ++i) {
+                EXPECT_EQ(direct.events[i].pos,
+                          flattened.events[i].pos);
+                EXPECT_EQ(direct.events[i].qubit,
+                          flattened.events[i].qubit);
+                EXPECT_EQ(direct.events[i].pauli,
+                          flattened.events[i].pauli);
+            }
         }
+        EXPECT_GT(events, 0u) << "rates too low to compare anything";
     }
+}
+
+TEST(CompiledDeathTest, SamplingAnUnpreparedModelPanics)
+{
+    Rng rng(405);
+    Memory mem = Memory::random(3, rng);
+    QueryCircuit qc = VirtualQram(2, 1).build(mem);
+    FeynmanExecutor ex(qc.circuit);
+    GateNoise noise(PauliRates::depolarizing(5e-3));
+    Rng r(1);
+    CounterRng c(1, 0);
+    FlatRealization out;
+    EXPECT_DEATH(noise.sampleFlat(ex, r, out), "before prepare");
+    EXPECT_DEATH(noise.sampleFlat(ex, c, out), "before prepare");
+
+    // Prepared for plain sampling, but not for this sweep.
+    noise.prepare(ex);
+    const double factors[] = {0.5, 2.0};
+    FlatRealization outs[2];
+    EXPECT_DEATH(noise.sampleFlatSweep(ex, r, factors, 2, outs),
+                 "before prepareSweep");
+    noise.prepareSweep(ex, factors, 1);
+    EXPECT_DEATH(noise.sampleFlatSweep(ex, c, factors, 2, outs),
+                 "before prepareSweep");
 }
 
 // --- Reference estimator replica (the seed implementation) ------------

@@ -778,6 +778,11 @@ TEST(OrchestratorCli, ShardExitCodesFollowTheContract)
     EXPECT_EQ(shCode("timeout 10 " + std::string(QRAMSIM_SERVER_BIN) +
                      " --socket " + dir + "/srv.sock" + quiet),
               2);
+    // A malformed sweep factor is refused before any worker starts.
+    EXPECT_EQ(shCode(std::string(QRAMSIM_DRIVE_BIN) + " --job " + dir +
+                     "/nan --workers 2 --shards 2 --worker-bin " +
+                     shard + kWorkload + " --factors nan" + quiet),
+              2);
     std::system(("rm -rf " + dir).c_str());
 }
 

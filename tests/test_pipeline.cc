@@ -436,31 +436,14 @@ TEST(Pipeline, PersistentPoolReusedAcrossEstimates)
  * surface as an exception from estimate() on the calling thread, not
  * terminate the process or hang the coordinator.
  */
-class ThrowingNoise : public NoiseModel
+class ThrowingNoise : public QubitChannelNoise
 {
   public:
     ThrowingNoise(PauliRates rates, int okShots)
-        : inner(rates), budget(okShots)
+        : QubitChannelNoise(rates), budget(okShots)
     {}
 
-    ErrorRealization
-    sample(const FeynmanExecutor &exec, Rng &rng) const override
-    {
-        return inner.sample(exec, rng);
-    }
-
-    void
-    prepare(const FeynmanExecutor &exec) const override
-    {
-        inner.prepare(exec);
-    }
-
-    void
-    sampleFlat(const FeynmanExecutor &exec, Rng &rng,
-               FlatRealization &out) const override
-    {
-        inner.sampleFlat(exec, rng, out);
-    }
+    using QubitChannelNoise::sampleFlat;
 
     void
     sampleFlat(const FeynmanExecutor &exec, CounterRng &rng,
@@ -468,13 +451,12 @@ class ThrowingNoise : public NoiseModel
     {
         if (++calls > budget)
             throw std::runtime_error("injected sampler failure");
-        inner.sampleFlat(exec, rng, out);
+        QubitChannelNoise::sampleFlat(exec, rng, out);
     }
 
     std::string name() const override { return "throwing"; }
 
   private:
-    QubitChannelNoise inner;
     int budget;
     mutable std::atomic<int> calls{0};
 };

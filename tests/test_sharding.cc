@@ -302,7 +302,7 @@ TEST(Sharding, ResultJsonByteIdenticalAcrossPartitions)
     }
 }
 
-// --- Gate/device sweep samplers ----------------------------------------
+// --- Sweep samplers ----------------------------------------------------
 
 void
 expectRealizationsEq(const FlatRealization &a, const FlatRealization &b)
@@ -334,10 +334,8 @@ TEST(Sharding, GateNoiseSweepMatchesScaledSampleFlat)
             // consuming its own identically-seeded stream must see
             // the same draws, hence the same events per point.
             Rng sweepRng(4000 + shot);
-            ASSERT_TRUE(sweep.sampleFlatSweep(exec, sweepRng,
-                                              factors.data(),
-                                              factors.size(),
-                                              outs.data()));
+            sweep.sampleFlatSweep(exec, sweepRng, factors.data(),
+                                  factors.size(), outs.data());
             for (std::size_t j = 0; j < factors.size(); ++j) {
                 SCOPED_TRACE(j);
                 GateNoise scaled(base.scaled(factors[j]), weighted);
@@ -366,19 +364,63 @@ TEST(Sharding, DeviceNoiseSweepMatchesScaledSampleFlat)
     std::vector<FlatRealization> outs(factors.size());
     for (int shot = 0; shot < 8; ++shot) {
         Rng sweepRng(6000 + shot);
-        ASSERT_TRUE(sweep.sampleFlatSweep(exec, sweepRng,
-                                          factors.data(),
-                                          factors.size(),
-                                          outs.data()));
+        sweep.sampleFlatSweep(exec, sweepRng, factors.data(),
+                              factors.size(), outs.data());
         for (std::size_t j = 0; j < factors.size(); ++j) {
             SCOPED_TRACE(j);
             DeviceNoise scaled(r1.scaled(factors[j]),
                                r2.scaled(factors[j]));
+            scaled.prepare(exec);
             Rng pointRng(6000 + shot);
             FlatRealization ref;
             scaled.sampleFlat(exec, pointRng, ref);
             expectRealizationsEq(outs[j], ref);
         }
+    }
+}
+
+TEST(Sharding, QubitChannelSweepMatchesScaledSampleFlat)
+{
+    Rng rng(2026);
+    Memory mem = Memory::random(3, rng);
+    QueryCircuit qc = VirtualQram(2, 1).build(mem);
+    FeynmanExecutor exec(qc.circuit);
+    const PauliRates base = PauliRates::depolarizing(4e-3);
+    const std::vector<double> factors = {0.5, 1.0, 3.0};
+
+    for (unsigned rounds :
+         {0u, QubitChannelNoise::virtualQramRounds(2, 1)}) {
+        SCOPED_TRACE("rounds " + std::to_string(rounds));
+        QubitChannelNoise sweep(base, rounds);
+        sweep.prepareSweep(exec, factors.data(), factors.size());
+        std::vector<FlatRealization> outs(factors.size());
+        std::size_t events = 0;
+        for (int shot = 0; shot < 8; ++shot) {
+            // Both generator families: the sweep's one draw per site
+            // must reproduce each scaled model's own draws.
+            Rng sweepRng(7000 + shot);
+            sweep.sampleFlatSweep(exec, sweepRng, factors.data(),
+                                  factors.size(), outs.data());
+            std::vector<FlatRealization> ctrOuts(factors.size());
+            CounterRng sweepCtr(7000, shot);
+            sweep.sampleFlatSweep(exec, sweepCtr, factors.data(),
+                                  factors.size(), ctrOuts.data());
+            for (std::size_t j = 0; j < factors.size(); ++j) {
+                SCOPED_TRACE(j);
+                QubitChannelNoise scaled(base.scaled(factors[j]),
+                                         rounds);
+                scaled.prepare(exec);
+                Rng pointRng(7000 + shot);
+                FlatRealization ref;
+                scaled.sampleFlat(exec, pointRng, ref);
+                expectRealizationsEq(outs[j], ref);
+                CounterRng pointCtr(7000, shot);
+                scaled.sampleFlat(exec, pointCtr, ref);
+                expectRealizationsEq(ctrOuts[j], ref);
+                events += ref.events.size();
+            }
+        }
+        EXPECT_GT(events, 0u) << "rates too low to compare anything";
     }
 }
 
@@ -548,6 +590,12 @@ TEST(Sharding, CliRejectsMalformedAndUnknownFlags)
                  " --eps abc --shots 8 --out /dev/null"),
               0);
     EXPECT_NE(sh(base + " --m 3 --factors 0.5,,2"), 0);
+    // Every factor is a finite decimal >= 0, and no entry is empty.
+    for (const char *bad :
+         {"nan", "inf", "-1", "-0", "' 2'", "1,", ",1", "0x1p1"})
+        EXPECT_NE(sh(base + " --m 3 --factors " + bad), 0) << bad;
+    // 0 is the noiseless point, not a malformed factor.
+    EXPECT_EQ(sh(base + " --m 3 --factors 0,0.5,2"), 0);
     // Unknown flags must not be silently ignored.
     EXPECT_NE(sh(base + " --m 3 --frobnicate"), 0);
     EXPECT_NE(sh(" merge --out /dev/null --frobnicate"), 0);

@@ -17,6 +17,7 @@
 #define QRAMSIM_TOOLS_WORKLOAD_HH
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -264,17 +265,28 @@ parseRunFlags(int argc, char **argv, RunOptions &opt)
             const char *v = value();
             if (!v)
                 return false;
+            // Comma-separated finite factors >= 0 (0 is the
+            // noiseless point Adaptive folds analytically); an empty
+            // entry, a trailing comma or a sign bit is malformed.
             opt.factors.clear();
-            for (const char *p = v; *p;) {
-                char *end = nullptr;
-                const double f = std::strtod(p, &end);
-                if (end == p || (*end != '\0' && *end != ',')) {
+            const std::string list = v;
+            for (std::size_t at = 0;;) {
+                const std::size_t comma = list.find(',', at);
+                const std::string item = list.substr(at, comma - at);
+                double f = 0.0;
+                if (!env::parseDouble(item.c_str(), f) ||
+                    std::signbit(f)) {
                     std::fprintf(stderr,
-                                 "malformed --factors '%s'\n", v);
+                                 "malformed --factors '%s' (want "
+                                 "comma-separated finite numbers "
+                                 ">= 0)\n",
+                                 v);
                     return false;
                 }
                 opt.factors.push_back(f);
-                p = *end == ',' ? end + 1 : end;
+                if (comma == std::string::npos)
+                    break;
+                at = comma + 1;
             }
         } else if (flag == "--shard") {
             const char *v = value();
@@ -433,8 +445,8 @@ cutShardSpec(const RunOptions &opt, ShardSpec &spec,
  * stream, sweep factors, the estimate mode and the full adaptive
  * policy — batch included, it moves stopping decisions) changes it.
  *
- * Deliberately EXCLUDED: threads, pipeline, engine and SIMD-tier
- * pins, and the output path. The estimation invariants enforced by
+ * Deliberately EXCLUDED: threads, engine and SIMD-tier pins, and
+ * the output path. The estimation invariants enforced by
  * the test suite make results bit-identical across all of them, so
  * keying on them would only split a cache.
  *
