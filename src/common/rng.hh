@@ -10,6 +10,7 @@
 #ifndef QRAMSIM_COMMON_RNG_HH
 #define QRAMSIM_COMMON_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 
@@ -58,7 +59,7 @@ class Rng
      * implies r <= cutFor(t), so `r <= cut` is an exact-no-miss
      * integer rejection test — a false positive (at most the cut
      * value itself) just falls through to the exact double compares.
-     * The flattened noise samplers precompute one cut per draw site,
+     * The per-site noise streamer precomputes one cut per rate row,
      * so the common no-event case never converts to double at all.
      */
     static std::uint64_t cutFor(double t);
@@ -126,8 +127,13 @@ class CounterRng
     /** Uniform double in [0, 1). */
     double uniform() { return uniformFromBits(next()); }
 
-    /** Integer threshold cut; see Rng::cutFor. */
-    static std::uint64_t cutFor(double t);
+    /** Exp(1) draw: minus the log of a uniform in (0, 1]. */
+    double
+    exponential()
+    {
+        return -std::log(static_cast<double>((next() >> 11) + 1) *
+                         0x1.0p-53);
+    }
 
     /** Bernoulli draw with probability @p p. */
     bool
@@ -171,45 +177,24 @@ class CounterRng
     std::uint64_t state;
 };
 
-namespace detail {
-
-/**
- * Shared cutFor body: binary-search the smallest raw value whose
- * (monotone non-decreasing) bits→uniform image reaches @p t. Both
- * generator families hold the exact-no-miss contract through this
- * one implementation.
- */
-template <class G>
 inline std::uint64_t
-rngCutFor(double t)
+Rng::cutFor(double t)
 {
-    if (G::uniformFromBits(0) >= t)
+    // Binary-search the smallest raw value whose (monotone
+    // non-decreasing) bits->uniform image reaches t.
+    if (uniformFromBits(0) >= t)
         return 0;
-    if (G::uniformFromBits(~std::uint64_t(0)) < t)
+    if (uniformFromBits(~std::uint64_t(0)) < t)
         return ~std::uint64_t(0); // every draw resolves exactly
     std::uint64_t lo = 0, hi = ~std::uint64_t(0);
     while (hi - lo > 1) { // u(lo) < t <= u(hi)
         const std::uint64_t mid = lo + (hi - lo) / 2;
-        if (G::uniformFromBits(mid) >= t)
+        if (uniformFromBits(mid) >= t)
             hi = mid;
         else
             lo = mid;
     }
     return hi;
-}
-
-} // namespace detail
-
-inline std::uint64_t
-Rng::cutFor(double t)
-{
-    return detail::rngCutFor<Rng>(t);
-}
-
-inline std::uint64_t
-CounterRng::cutFor(double t)
-{
-    return detail::rngCutFor<CounterRng>(t);
 }
 
 } // namespace qramsim

@@ -509,6 +509,9 @@ validCommit(const SweepPlan &plan,
         return fail("payload belongs to a different plan");
     if (part.factors != spec.factors)
         return fail("payload sweep factors differ");
+    if (part.sampler != kSamplerVersion)
+        return fail("payload was drawn by sampler version " +
+                    std::to_string(part.sampler));
     if (!expectedWorkload.empty() && !part.workload.empty() &&
         part.workload != expectedWorkload)
         return fail("payload workload fingerprint differs");

@@ -235,6 +235,20 @@ FidelityEstimator::FidelityEstimator(
         accumulateIdealPath(acc, k, ideals[k].phase);
     emptyFull = acc.full();
     emptyReduced = acc.reduced();
+
+    // The Z-only table: number the groups in this map's iteration
+    // order, which every Z-only shot's map would share.
+    std::unordered_map<const BitVec *, std::uint32_t> slotOf;
+    for (const auto &entry : acc.groups)
+        slotOf.emplace(&entry.first,
+                       static_cast<std::uint32_t>(slotOf.size()));
+    zGroups = slotOf.size();
+    for (std::size_t k = 0; k < input.size(); ++k) {
+        zSlot.push_back(slotOf.at(&acc.groups.find(idealAnc[k])->first));
+        zSelf.push_back(std::conj(input.amps[k]) * input.amps[k]);
+        zCross.push_back(std::conj(input.amps[idealVisOwner[k]]) *
+                         input.amps[k]);
+    }
 }
 
 std::uint64_t
@@ -344,7 +358,9 @@ FidelityEstimator::accumulateIdealPath(
 // no gate is replayed at all. This stays bit-identical even for
 // circuits with diagonal phase ops: multiplying by -1 is exact and
 // commutes exactly through complex products, so out.phase ==
-// +-ideals[k].phase to the last ulp.
+// +-ideals[k].phase to the last ulp. The overlap sums are
+// accumulateIdealPath's, path by path, into the flat Z-only table
+// (see zSlot) instead of a map.
 void
 FidelityEstimator::shotZOnly(const FlatRealization &errors,
                              ShotWorkspace &ws, double &fullOut,
@@ -354,7 +370,6 @@ FidelityEstimator::shotZOnly(const FlatRealization &errors,
     const FlatEvent *events = errors.events.data();
     const std::size_t numEvents = errors.events.size();
 
-    ShotAccumulator acc;
     ws.parity.assign(pathWords, 0);
     for (std::size_t e = 0; e < numEvents; ++e) {
         const std::uint32_t q = events[e].qubit;
@@ -370,13 +385,20 @@ FidelityEstimator::shotZOnly(const FlatRealization &errors,
                           pathWords;
         K.xorRow(ws.parity.data(), vec, pathWords);
     }
+    std::complex<double> full{0.0, 0.0};
+    ws.zSums.assign(zGroups, {0.0, 0.0});
     for (std::size_t k = 0; k < input.size(); ++k) {
         const bool neg = (ws.parity[k >> 6] >> (k & 63)) & 1;
-        accumulateIdealPath(acc, k,
-                            neg ? -ideals[k].phase : ideals[k].phase);
+        const std::complex<double> phase =
+            neg ? -ideals[k].phase : ideals[k].phase;
+        full += zSelf[k] * phase;
+        ws.zSums[zSlot[k]] += zCross[k] * phase;
     }
-    fullOut = acc.full();
-    reducedOut = acc.reduced();
+    fullOut = std::norm(full);
+    double red = 0.0;
+    for (const std::complex<double> &g : ws.zSums)
+        red += std::norm(g);
+    reducedOut = red;
 }
 
 void

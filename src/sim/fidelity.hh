@@ -356,6 +356,7 @@ class FidelityEstimator
         PathState path;           ///< scalar replay state
         simd::AlignedWords parity; ///< Z-path sign bits per path
         std::vector<std::uint32_t> devRows; ///< qubits with deviation
+        std::vector<std::complex<double>> zSums; ///< Z-only group sums
     };
 
     /** Scratch of accumulateShotRows. Shots accumulate one at a time,
@@ -382,7 +383,7 @@ class FidelityEstimator
     void shotScalar(const FlatRealization &errors, ShotWorkspace &ws,
                     double &fullOut, double &reducedOut) const;
 
-    /** The Z-only fast path (no gate replayed at all). */
+    /** The Z-only fast path (no gate replayed and no map built). */
     void shotZOnly(const FlatRealization &errors, ShotWorkspace &ws,
                    double &fullOut, double &reducedOut) const;
 
@@ -552,6 +553,27 @@ class FidelityEstimator
 
     /** visIndex[idealVisible[k]], precomputed (== k for unique keys). */
     std::vector<std::size_t> idealVisOwner;
+
+    /// @name Z-only reduction
+    ///
+    /// A Z-only shot lands every path on its ideal output, so it would
+    /// insert the empty shot's group keys in the empty shot's path
+    /// order, and a fresh map would iterate its groups in the empty
+    /// shot's map order. shotZOnly therefore sums into a flat array
+    /// indexed by that order and reduces it front to back: the same
+    /// terms, added and reduced in the same order, with no map.
+    /// @{
+
+    /** zSlot[k]: path k's group, numbered in the empty shot's map
+     *  iteration order. */
+    std::vector<std::uint32_t> zSlot;
+    std::size_t zGroups = 0;
+
+    /** conj(a_k) a_k and conj(a_owner(k)) a_k: the per-path products
+     *  accumulateIdealPath multiplies by the path's phase. */
+    std::vector<std::complex<double>> zSelf, zCross;
+
+    /// @}
 
     /**
      * ideal visible key -> path index, built once. Resolves both the

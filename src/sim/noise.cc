@@ -27,22 +27,29 @@ drawPauli(const PauliRates &r, std::uint32_t qubit, Rng &rng,
         out.push_back({qubit, PauliKind::Z});
 }
 
-/** The cut row matching a generator family (see SampleSites). */
-inline const std::uint64_t *
-rowCuts(const SampleSites::Rows &rows, const Rng &)
+/**
+ * Resolve a site that may have fired: the threshold compares of
+ * sample() for every factor of @p rows, on one uniform @p u.
+ */
+inline void
+resolveSite(const SampleSites::Rows &rows, const SampleSites::Site &s,
+            double u, FlatRealization *outs)
 {
-    return rows.cutSeq.data();
-}
-
-inline const std::uint64_t *
-rowCuts(const SampleSites::Rows &rows, const CounterRng &)
-{
-    return rows.cutCtr.data();
+    const std::size_t n = rows.factors.size();
+    const std::size_t at = std::size_t(s.row) * n;
+    for (std::size_t j = 0; j < n; ++j) {
+        if (u < rows.tx[at + j])
+            outs[j].push(s.pos, s.qubit, PauliKind::X);
+        else if (u < rows.txy[at + j])
+            outs[j].push(s.pos, s.qubit, PauliKind::Y);
+        else if (u < rows.txyz[at + j])
+            outs[j].push(s.pos, s.qubit, PauliKind::Z);
+    }
 }
 
 /**
- * Stream a schedule against one threshold table: per site one raw
- * engine draw and one integer compare against its row's rejection cut
+ * The per-site streamer (sequential Rng): per site one raw engine
+ * draw and one integer compare against its row's rejection cut
  * (almost always a miss at physical rates — no double conversion at
  * all); a potential event resolves through the generator's
  * bits→uniform mapping and every factor's threshold compares.
@@ -50,31 +57,55 @@ rowCuts(const SampleSites::Rows &rows, const CounterRng &)
  * exact-no-miss, so the consumed stream and every decision are those
  * of sample() with the rates scaled by each factor.
  */
-template <class R>
 void
 streamSites(const SampleSites &ss, const SampleSites::Rows &rows,
-            R &rng, FlatRealization *outs)
+            Rng &rng, FlatRealization *outs)
 {
     const std::size_t n = rows.factors.size();
     for (std::size_t j = 0; j < n; ++j)
         outs[j].clear();
-    const std::uint64_t *cut = rowCuts(rows, rng);
-    const double *tx = rows.tx.data();
-    const double *txy = rows.txy.data();
-    const double *txyz = rows.txyz.data();
+    const std::uint64_t *cut = rows.cut.data();
     for (const SampleSites::Site &s : ss.sites) {
         const std::uint64_t r = rng.bits();
-        if (r > cut[s.row])
-            continue;
-        const double u = R::uniformFromBits(r);
-        const std::size_t at = std::size_t(s.row) * n;
-        for (std::size_t j = 0; j < n; ++j) {
-            if (u < tx[at + j])
-                outs[j].push(s.pos, s.qubit, PauliKind::X);
-            else if (u < txy[at + j])
-                outs[j].push(s.pos, s.qubit, PauliKind::Y);
-            else if (u < txyz[at + j])
-                outs[j].push(s.pos, s.qubit, PauliKind::Z);
+        if (r <= cut[s.row])
+            resolveSite(rows, s, Rng::uniformFromBits(r), outs);
+    }
+    for (std::size_t j = 0; j < n; ++j)
+        outs[j].sortByPos();
+}
+
+/**
+ * The event walk (counter streams; see SampleSites): an Exp(1) draw
+ * e skips floor(e/h) sites of the current run, or — when it outlasts
+ * the run (always, for h = 0) — gives up the run's remaining hazard
+ * and carries the rest into the next run. The site it lands on fires:
+ * u uniform in [0, min(top, 1)) resolves it for every factor, and the
+ * walk restarts from the next site with a fresh e. Exact in
+ * distribution because the exponential is memoryless. A change to
+ * what this draws bumps kSamplerVersion (sim/sharding.hh).
+ */
+void
+walkEvents(const SampleSites &ss, const SampleSites::Rows &rows,
+           CounterRng &rng, FlatRealization *outs)
+{
+    const std::size_t n = rows.factors.size();
+    for (std::size_t j = 0; j < n; ++j)
+        outs[j].clear();
+    std::uint32_t at = 0;
+    double e = rng.exponential();
+    for (const SampleSites::Rows::Run &run : rows.runs) {
+        while (at < run.end) {
+            const double left = run.end - at;
+            const double skip = e / run.hazard; // NaN only if e = h = 0
+            if (!(skip < left)) {
+                e = std::max(0.0, e - left * run.hazard);
+                at = run.end;
+                continue;
+            }
+            at += static_cast<std::uint32_t>(skip);
+            resolveSite(rows, ss.sites[at++], rng.uniform() * run.span,
+                        outs);
+            e = rng.exponential();
         }
     }
     for (std::size_t j = 0; j < n; ++j)
@@ -86,7 +117,7 @@ bool
 rowsReady(const SampleSites &ss, const SampleSites::Rows &rows,
           const double *factors, std::size_t n)
 {
-    return rows.cutSeq.size() == ss.rowSites.size() &&
+    return rows.cut.size() == ss.rowSites.size() &&
            rows.factors.size() == n &&
            std::equal(factors, factors + n, rows.factors.begin());
 }
@@ -205,13 +236,13 @@ NoiseModel::buildRows(const FeynmanExecutor &exec,
     rows.tx.assign(nrows * n, 0.0);
     rows.txy.assign(nrows * n, 0.0);
     rows.txyz.assign(nrows * n, 0.0);
-    rows.cutSeq.assign(nrows, 0);
-    rows.cutCtr.assign(nrows, 0);
-    // A cut costs a 64-step search per family, and a row nearly
-    // always repeats its predecessor's threshold (runs of one gate
-    // kind), so the last pair is reused.
+    rows.top.assign(nrows, 0.0);
+    rows.cut.assign(nrows, 0);
+    // A cut costs a 64-step search, and a row nearly always repeats
+    // its predecessor's threshold (runs of one gate kind), so the
+    // last one is reused.
     double lastTop = -1.0;
-    std::uint64_t lastSeq = 0, lastCtr = 0;
+    std::uint64_t lastCut = 0;
     for (std::uint32_t row = 0; row < nrows; ++row) {
         if (sched.rowSites[row] == 0)
             continue; // no site draws against it (a barrier's row)
@@ -224,15 +255,23 @@ NoiseModel::buildRows(const FeynmanExecutor &exec,
             rows.txyz[at] = r.x + r.y + r.z;
             top = std::max(top, rows.txyz[at]);
         }
-        // One cut for the row's largest threshold rejects every
-        // factor at once.
+        // One cut (and one hazard) for the row's largest threshold
+        // serves every factor at once.
         if (top != lastTop) {
             lastTop = top;
-            lastSeq = Rng::cutFor(top);
-            lastCtr = CounterRng::cutFor(top);
+            lastCut = Rng::cutFor(top);
         }
-        rows.cutSeq[row] = lastSeq;
-        rows.cutCtr[row] = lastCtr;
+        rows.top[row] = top;
+        rows.cut[row] = lastCut;
+    }
+    rows.runs.clear();
+    for (std::uint32_t i = 0; i < sched.sites.size(); ++i) {
+        const double top = rows.top[sched.sites[i].row];
+        if (i > 0 && rows.top[sched.sites[i - 1].row] == top)
+            rows.runs.back().end = i + 1;
+        else
+            rows.runs.push_back({i + 1, std::min(top, 1.0),
+                                 -logNoEvent(top, 1.0)});
     }
     rows.factors.assign(factors, factors + n);
 }
@@ -268,7 +307,7 @@ void
 NoiseModel::sampleFlat(const FeynmanExecutor &exec, CounterRng &rng,
                        FlatRealization &out) const
 {
-    streamSites(sched, unitRows(exec), rng, &out);
+    walkEvents(sched, unitRows(exec), rng, &out);
 }
 
 void
@@ -284,7 +323,7 @@ NoiseModel::sampleFlatSweep(const FeynmanExecutor &exec,
                             CounterRng &rng, const double *factors,
                             std::size_t n, FlatRealization *outs) const
 {
-    streamSites(sched, sweepRows(exec, factors, n), rng, outs);
+    walkEvents(sched, sweepRows(exec, factors, n), rng, outs);
 }
 
 void

@@ -24,7 +24,12 @@
  * per-Gate walk the tests compare against), its site enumeration, and
  * the rates of one of its rows at a rate factor. NoiseModel builds
  * one SampleSites schedule per circuit from them and serves every
- * flat sampler and the closed-form class probabilities from it.
+ * flat sampler and the closed-form class probabilities from it. The
+ * sequential Rng streams the schedule site by site, draw for draw
+ * like sample() (the per-site oracle); the counter streams of the
+ * threaded and sharded loops skip from event to event with
+ * exponential draws, which is exact in distribution and costs a few
+ * draws per event instead of one per site.
  *
  * An "error reduction factor" eps_r divides all rates, matching the
  * paper's definition eps_r = current error rate / future error rate.
@@ -76,15 +81,36 @@ struct PauliRates
  * precomputing them changes no decision.
  *
  * A Rows table holds those thresholds for a list of rate factors,
- * row-major ([row * factors.size() + j]), plus each row's integer
- * rejection cut per generator family (Rng::cutFor /
- * CounterRng::cutFor of the row's largest txyz). The streaming
- * sampler compares one raw engine draw per site against its row's
- * cut and converts to double — then making exactly the threshold
- * compares sample() makes — only when an event may have fired. One
- * uniform per site serves every factor: common random numbers across
- * a sweep, and factor j's events are exactly those of a model whose
- * rates were scaled by factors[j].
+ * row-major ([row * factors.size() + j]), and each row's top: its
+ * largest txyz over the factors. Two samplers read it, one per
+ * generator family:
+ *
+ *  - Rng (the sequential Mersenne stream) streams every site, the
+ *    per-site oracle: one raw engine draw per site against the row's
+ *    integer rejection cut (Rng::cutFor of the top), converting to
+ *    double — then making exactly the threshold compares sample()
+ *    makes — only when an event may have fired. Its consumed stream
+ *    and every decision are sample()'s.
+ *
+ *  - CounterRng (the threaded and sharded streams) walks events, not
+ *    sites. The schedule splits into maximal runs of consecutive
+ *    sites whose rows share a top, each with the hazard
+ *    h = -log1p(-top) of one site firing below that top. The walk
+ *    draws E ~ Exp(1) and skips floor(E/h) sites inside the current
+ *    run; when E outlasts the run it gives up the run's remaining
+ *    hazard and moves on. At the site that fires it draws u uniform
+ *    in [0, min(top, 1)) and makes the same per-factor compares, then
+ *    starts afresh from the next site. The exponential is memoryless
+ *    and u is uniform below the top given that the site fired, so
+ *    every site still fires independently with its rates: exact in
+ *    distribution, not draw for draw. A top <= 0 never fires (h = 0)
+ *    and a top >= 1 fires at every site (h = +inf).
+ *
+ * Either way one draw per site serves every factor: common random
+ * numbers across a sweep. Under Rng, factor j's events are exactly
+ * those of a model whose rates were scaled by factors[j]; under
+ * CounterRng that holds for the factor whose thresholds are the tops
+ * (the same hazards), and the other factors match in distribution.
  */
 struct SampleSites
 {
@@ -97,10 +123,19 @@ struct SampleSites
 
     struct Rows
     {
+        /** Sites [previous run's end, end) share one top. */
+        struct Run
+        {
+            std::uint32_t end;
+            double span;   ///< min(top, 1): the firing site's u range
+            double hazard; ///< -log1p(-top); 0 or +inf at the ends
+        };
+
         std::vector<double> factors;
         std::vector<double> tx, txy, txyz;
-        std::vector<std::uint64_t> cutSeq; ///< Rng (sequential Mersenne)
-        std::vector<std::uint64_t> cutCtr; ///< CounterRng (threaded)
+        std::vector<double> top;        ///< per row: max txyz
+        std::vector<std::uint64_t> cut; ///< per row: Rng::cutFor(top)
+        std::vector<Run> runs;          ///< the counter-stream walk
     };
 
     std::vector<Site> sites;
@@ -165,9 +200,10 @@ class NoiseModel
                             FlatRealization &out) const;
 
     /**
-     * Counter-stream twin for the threaded shot loop: identical event
-     * distribution and draw sequence, fed by a cheap per-shot
-     * counter-based generator instead of a seeked sequential RNG.
+     * Counter-stream twin for the threaded and sharded shot loops:
+     * the same event distribution, drawn by the event walk (see
+     * SampleSites) from a cheap per-shot counter-based generator —
+     * a few draws per event instead of one per site.
      */
     virtual void sampleFlat(const FeynmanExecutor &exec,
                             CounterRng &rng,
@@ -182,14 +218,18 @@ class NoiseModel
      * across the sweep, so the per-shot sampling cost is paid once
      * instead of once per sweep point and the resulting curves are
      * smooth in the factor. outs[j] receives point j's realization.
-     * Consumes the same draws as sampleFlat. Panics unless
+     * Consumes the same draws as sampleFlat. (The counter-stream
+     * twin walks the sweep's tops, so only the point whose
+     * thresholds are the tops matches the scaled model draw for
+     * draw; every point matches it in distribution.) Panics unless
      * prepareSweep() ran for this circuit and these factors.
      */
     void sampleFlatSweep(const FeynmanExecutor &exec, Rng &rng,
                          const double *factors, std::size_t n,
                          FlatRealization *outs) const;
 
-    /** Counter-stream twin of the sweep sampler. */
+    /** Counter-stream twin of the sweep sampler (the event walk
+     *  over the sweep's tops). */
     void sampleFlatSweep(const FeynmanExecutor &exec, CounterRng &rng,
                          const double *factors, std::size_t n,
                          FlatRealization *outs) const;

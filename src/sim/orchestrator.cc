@@ -7,7 +7,9 @@
 #include <thread>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -290,6 +292,9 @@ Orchestrator::loadCheckpoint(const std::string &path,
     if (out.totalShots != spec.totalShots || out.seed != spec.seed ||
         out.stream != spec.stream || out.factors != spec.factors)
         return fail("checkpoint belongs to a different plan");
+    if (out.sampler != kSamplerVersion)
+        return fail("checkpoint was drawn by sampler version " +
+                    std::to_string(out.sampler));
     return true;
 }
 
@@ -299,11 +304,46 @@ namespace {
 struct LiveAttempt
 {
     pid_t pid = -1;
+    int pidfd = -1; ///< readable once pid exits; -1: seen on the tick
     std::size_t shard = 0;
     bool speculative = false;
     Clock::time_point start;
     std::string outPath;
 };
+
+/** A close-on-exec pidfd for @p pid, or -1 when the kernel has none. */
+int
+openPidfd(pid_t pid)
+{
+    return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+}
+
+void
+closePidfd(LiveAttempt &att)
+{
+    if (att.pidfd >= 0)
+        ::close(att.pidfd);
+    att.pidfd = -1;
+}
+
+/**
+ * Sleep until some live attempt's worker exits or @p ms pass. The
+ * event loop's deadline, straggler and backoff checks still run once
+ * per @p ms; only a child's exit is seen at once.
+ */
+void
+waitForExit(const std::vector<LiveAttempt> &live, double ms)
+{
+    std::vector<pollfd> fds;
+    for (const LiveAttempt &att : live)
+        if (att.pidfd >= 0)
+            fds.push_back({att.pidfd, POLLIN, 0});
+    const double sec = std::max(0.0, ms) / 1e3;
+    timespec ts;
+    ts.tv_sec = static_cast<time_t>(sec);
+    ts.tv_nsec = static_cast<long>((sec - ts.tv_sec) * 1e9);
+    ::ppoll(fds.data(), fds.size(), &ts, nullptr);
+}
 
 /** Mutable per-shard tracking of the event loop. */
 struct Track
@@ -575,6 +615,7 @@ Orchestrator::run()
             ++t.running;
             LiveAttempt att;
             att.pid = pid;
+            att.pidfd = openPidfd(pid);
             att.shard = shard;
             att.speculative = speculative;
             att.start = Clock::now();
@@ -655,10 +696,15 @@ Orchestrator::run()
                 const pid_t r =
                     ::waitpid(live[i].pid, &status, WNOHANG);
                 if (r == live[i].pid) {
-                    const LiveAttempt att = live[i];
+                    LiveAttempt att = live[i];
+                    closePidfd(att);
                     live.erase(live.begin() + i);
                     handleFinished(att, classifyWaitStatus(status));
                 } else {
+                    // Not reapable here (someone else waited for it):
+                    // its pidfd would keep the wait awake.
+                    if (r < 0)
+                        closePidfd(live[i]);
                     ++i;
                 }
             }
@@ -672,10 +718,11 @@ Orchestrator::run()
                         ++i;
                         continue;
                     }
-                    const LiveAttempt att = live[i];
+                    LiveAttempt att = live[i];
                     ::kill(att.pid, SIGKILL);
                     int status = 0;
                     ::waitpid(att.pid, &status, 0);
+                    closePidfd(att);
                     live.erase(live.begin() + i);
                     ++report.timeouts;
                     Track &t = tracks[att.shard];
@@ -747,10 +794,11 @@ Orchestrator::run()
                     settled = false;
             if (settled) {
                 if (!cfg.retry.waitForDuplicates || live.empty()) {
-                    for (const LiveAttempt &att : live) {
+                    for (LiveAttempt &att : live) {
                         ::kill(att.pid, SIGKILL);
                         int status = 0;
                         ::waitpid(att.pid, &status, 0);
+                        closePidfd(att);
                         --tracks[att.shard].running;
                         std::remove(att.outPath.c_str());
                     }
@@ -761,9 +809,7 @@ Orchestrator::run()
                 // Unsettled but nothing live and nothing eligible
                 // soon: pending shards are waiting out backoff.
             }
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    cfg.pollIntervalMs));
+            waitForExit(live, cfg.pollIntervalMs);
         }
     }
 

@@ -286,7 +286,8 @@ struct OrchestratorConfig
     std::size_t brokerShards = 0;
     std::size_t brokerTransportFailures = 0;
 
-    /** Completion-poll interval of the event loop. */
+    /** Tick of the event loop's deadline, straggler and backoff
+     *  checks. A worker's exit wakes the loop at once (pidfd). */
     double pollIntervalMs = 15.0;
 
     /** In-process shard executor (in-process mode only). Exceptions
@@ -314,8 +315,9 @@ class Orchestrator
     /**
      * Load and revalidate one checkpoint: parse (fromJson re-derives
      * the redundant sums), then require the shard range and plan
-     * metadata to match @p spec. False (with the reason in @p err)
-     * means "recompute this shard".
+     * metadata to match @p spec and the sampler version to be this
+     * build's. False (with the reason in @p err) means "recompute
+     * this shard".
      */
     static bool loadCheckpoint(const std::string &path,
                                const ShardSpec &spec,

@@ -187,6 +187,8 @@ PartialEstimate::canMerge(const PartialEstimate &other,
         return fail("total shot counts differ");
     if (stream != other.stream)
         return fail("shot streams differ");
+    if (sampler != other.sampler)
+        return fail("sampler versions differ");
     if (numPoints != other.numPoints || factors != other.factors)
         return fail("sweep factors differ");
     if (adaptive != other.adaptive)
@@ -399,9 +401,10 @@ PartialEstimate::toJson() const
     std::snprintf(buf, sizeof buf,
                   ",\n  \"seed\": %llu,\n  \"total_shots\": %zu,\n"
                   "  \"shot_begin\": %zu,\n  \"shot_end\": %zu,\n"
-                  "  \"stream\": \"%s\",\n  \"num_points\": %zu,\n",
+                  "  \"stream\": \"%s\",\n  \"sampler\": %u,\n"
+                  "  \"num_points\": %zu,\n",
                   static_cast<unsigned long long>(seed), totalShots,
-                  shotBegin, shotEnd, shotStreamName(stream),
+                  shotBegin, shotEnd, shotStreamName(stream), sampler,
                   numPoints);
     s += buf;
     s += "  \"factors\": ";
@@ -477,6 +480,7 @@ PartialEstimate::fromJson(const std::string &json, PartialEstimate &out,
         return false;
     };
     out = PartialEstimate{};
+    out.sampler = 1; // the field arrived with version 2
     qramsim::json::Cursor c(json);
     if (!c.consume('{'))
         return fail("not a JSON object");
@@ -510,6 +514,9 @@ PartialEstimate::fromJson(const std::string &json, PartialEstimate &out,
                      parseShotStream(name, out.stream);
                 if (!ok)
                     return fail("unknown stream kind");
+            } else if (key == "sampler") {
+                ok = c.parseU64(u) && u <= UINT32_MAX;
+                out.sampler = static_cast<unsigned>(u);
             } else if (key == "num_points") {
                 ok = c.parseU64(u);
                 out.numPoints = u;

@@ -79,6 +79,17 @@ enum class ShotStream : std::uint8_t
     Counter = 1,
 };
 
+/**
+ * Version of the noise sampler that turns a counter stream into
+ * realizations (NoiseModel's event walk, sim/noise.cc). Version 1
+ * drew one uniform per exposure site; version 2 walks from event to
+ * event with exponential skips. The same seed gives other shots under
+ * another version, so partials, checkpoints, result-cache keys and
+ * broker job identities carry it: work drawn by one version never
+ * answers a request for, or merges with, another's.
+ */
+constexpr unsigned kSamplerVersion = 2;
+
 /** "sequential" / "counter". */
 const char *shotStreamName(ShotStream s);
 
@@ -260,6 +271,10 @@ struct PartialEstimate
     std::uint64_t seed = 0;
     ShotStream stream = ShotStream::Counter;
 
+    /** kSamplerVersion of the producer (1 when the JSON predates the
+     *  field); merge requires all partials to agree on it. */
+    unsigned sampler = kSamplerVersion;
+
     /** Sweep factors (empty for a plain estimate). */
     std::vector<double> factors;
 
@@ -339,7 +354,7 @@ struct PartialEstimate
 
     /**
      * True if @p other covers an adjacent shot range of the same plan
-     * (same workload/seed/totalShots/stream/factors). @p why, when
+     * (same workload/seed/totalShots/stream/sampler/factors). @p why, when
      * non-null, receives the reason on mismatch.
      */
     bool canMerge(const PartialEstimate &other,

@@ -30,6 +30,7 @@
 
 #include "sim/broker.hh"
 #include "sim/server.hh"
+#include "sim/sharding.hh"
 
 namespace qramsim {
 namespace {
@@ -500,6 +501,20 @@ TEST(Broker, InvalidSuccessPayloadIsRejectedAndRequeued)
     EXPECT_EQ(assign.shard, retry.shard);
     EXPECT_EQ(1u, b.stats().redispatches);
     EXPECT_EQ(1u, b.stats().steals) << "new worker = steal";
+
+    // A real partial drawn by another sampler version is refused as
+    // well: accepted, it would become a client checkpoint that mixes
+    // another sampler's shots into the merge.
+    const srv::ShardResponse r = computeServer().handle(retry.args);
+    ASSERT_EQ(0, r.status);
+    PartialEstimate part;
+    ASSERT_TRUE(PartialEstimate::fromJson(r.payload, part));
+    part.sampler = kSamplerVersion - 1;
+    c.worker = "w2";
+    c.lease = retry.lease;
+    c.payload = part.toJson();
+    EXPECT_EQ(0u, ask(b, c).accepted);
+    EXPECT_EQ(2u, b.stats().commitsRejected);
 }
 
 TEST(Broker, RetryableFailuresRequeuePermanentOnesSettle)

@@ -190,28 +190,25 @@ TEST(Rng, CutForNeverMissesAnEvent)
 {
     // For any threshold t and any raw draw r: if the uniform image of
     // r fires (u < t), then r must pass the integer rejection test
-    // (r <= cutFor(t)) — the exactness contract of the flattened
-    // noise samplers' fast path. Also check tightness one draw above
-    // the cut.
+    // (r <= cutFor(t)) — the exactness contract of the per-site
+    // streamer's fast path. Also check tightness one draw above the
+    // cut.
     Rng r(77);
     const double thresholds[] = {0.0,    1e-12, 1e-6, 1e-3,
                                  0.2023, 0.5,   1.0 - 1e-15, 1.0, 2.0};
     for (double t : thresholds) {
         const std::uint64_t cutS = Rng::cutFor(t);
-        const std::uint64_t cutC = CounterRng::cutFor(t);
         for (int i = 0; i < 20000; ++i) {
             const std::uint64_t x = r.bits();
-            if (Rng::uniformFromBits(x) < t)
+            if (Rng::uniformFromBits(x) < t) {
                 EXPECT_LE(x, cutS) << "t=" << t;
-            if (CounterRng::uniformFromBits(x) < t)
-                EXPECT_LE(x, cutC) << "t=" << t;
+            }
         }
         // Just above the cut must NOT fire (tightness), when
         // representable.
-        if (cutS < ~std::uint64_t(0))
+        if (cutS < ~std::uint64_t(0)) {
             EXPECT_GE(Rng::uniformFromBits(cutS + 1), t);
-        if (cutC < ~std::uint64_t(0))
-            EXPECT_GE(CounterRng::uniformFromBits(cutC + 1), t);
+        }
     }
 }
 

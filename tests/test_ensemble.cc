@@ -457,6 +457,29 @@ TEST(Fidelity, RandomSuperpositionRoundTrip)
                               qc.busQubit, in, dev, 48, 1010);
 }
 
+TEST(Fidelity, ZOnlyShotsReduceManyAncillaGroupsInOrder)
+{
+    // Every bundled QRAM restores its ancillas, so its Z-only shots
+    // reduce one group. Copying the two low address bits onto fresh
+    // ancillas after the query leaves 4 groups of 4 paths: the Z
+    // signs reach each group's sum, and the order the groups are
+    // reduced in reaches the bytes. The seed oracle builds a fresh
+    // map per shot; the flat Z-only table must reduce identically.
+    Rng rng(20261018);
+    Memory mem = Memory::random(4, rng);
+    QueryCircuit qc = VirtualQram(3, 1).build(mem);
+    for (std::size_t b = 0; b < 2; ++b)
+        qc.circuit.cx(qc.addressQubits[b], qc.circuit.allocQubit());
+    AddressSuperposition in = AddressSuperposition::random(4, rng);
+
+    QubitChannelNoise zchan(PauliRates::phaseFlip(2e-3));
+    expectEnginesAndSeedAgree(qc.circuit, qc.addressQubits,
+                              qc.busQubit, in, zchan, 64, 1021);
+    GateNoise gateZ(PauliRates::phaseFlip(4e-3));
+    expectEnginesAndSeedAgree(qc.circuit, qc.addressQubits,
+                              qc.busQubit, in, gateZ, 64, 1022);
+}
+
 TEST(Fidelity, MultiWordBucketBrigadeUnderDepolarizing)
 {
     // The accumulation at the benchmark's shape: 128 paths (two path

@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -528,6 +529,49 @@ TEST(Orchestrator, CorruptCheckpointIsRecomputedNotTrusted)
     std::system(("rm -rf " + dir).c_str());
 }
 
+TEST(Orchestrator, OtherSamplerCheckpointIsRecomputed)
+{
+    // A checkpoint drawn by another sampler version holds other shots
+    // for the same seed: a resume must recompute it, never merge it.
+    const std::string dir = tempDir("qramsim_orch_sampler");
+    Rng memRng(7);
+    Memory mem = Memory::random(3, memRng);
+    QueryCircuit qc = BucketBrigadeQram(3).build(mem);
+    FidelityEstimator est(qc.circuit, qc.addressQubits, qc.busQubit,
+                          AddressSuperposition::uniform(3));
+    GateNoise noise(PauliRates::depolarizing(2e-3));
+    OrchestratorConfig cfg;
+    cfg.jobDir = dir + "/job";
+    cfg.plan = SweepPlan::partition(16, 2, 2023);
+    cfg.requestedShards = 2;
+    cfg.inlineRunner = [&](const ShardSpec &spec) {
+        return est.runShard(noise, spec);
+    };
+    OrchestratorConfig cfg2 = cfg;
+    DriveReport rep = Orchestrator(std::move(cfg)).run();
+    ASSERT_TRUE(rep.complete) << rep.error;
+    const std::string result = rep.resultJson;
+
+    const std::string ck =
+        Orchestrator::checkpointPath(dir + "/job", 1);
+    PartialEstimate old;
+    std::string err;
+    ASSERT_TRUE(PartialEstimate::fromJson(readFileStr(ck), old, &err))
+        << err;
+    old.sampler = kSamplerVersion - 1;
+    ASSERT_TRUE(atomicWriteFile(ck, old.toJson()));
+    EXPECT_FALSE(Orchestrator::loadCheckpoint(ck, cfg2.plan.shards[1],
+                                              old, &err));
+    cfg2.resume = true;
+    rep = Orchestrator(std::move(cfg2)).run();
+    ASSERT_TRUE(rep.complete) << rep.error;
+    EXPECT_EQ(rep.resumedShards, 1u);
+    EXPECT_FALSE(rep.shards[1].resumed);
+    EXPECT_EQ(rep.launched, 1u);
+    EXPECT_EQ(rep.resultJson, result);
+    std::system(("rm -rf " + dir).c_str());
+}
+
 // --- CLI end to end -----------------------------------------------------
 
 /** Common workload of the CLI scenarios (96 shots, 6 shards of 16:
@@ -701,6 +745,33 @@ TEST(OrchestratorCli, StragglerSpeculationCrossChecksByteForByte)
 
 // --- Worker exit-code pinning ------------------------------------------
 
+TEST(OrchestratorCli, WorkerExitWakesTheEventLoop)
+{
+    // The tick paces deadlines, stragglers and backoff only; a
+    // worker's exit wakes the loop at once. Two quick shards under a
+    // 2 s tick must not wait for it.
+    const std::string dir = tempDir("qramsim_orch_wake");
+    OrchestratorConfig cfg;
+    cfg.jobDir = dir + "/job";
+    cfg.workerBin = QRAMSIM_SHARD_BIN;
+    cfg.workloadArgs = {"--arch",  "bb",   "--m",     "3",
+                        "--noise", "gate-depol", "--eps", "2e-3",
+                        "--shots", "16",   "--seed",  "5"};
+    cfg.plan = SweepPlan::partition(16, 2, 5);
+    cfg.requestedShards = 2;
+    cfg.workers = 2;
+    cfg.pollIntervalMs = 2000.0;
+    const auto t0 = std::chrono::steady_clock::now();
+    const DriveReport rep = Orchestrator(std::move(cfg)).run();
+    const double sec = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+    ASSERT_TRUE(rep.complete) << rep.error;
+    EXPECT_EQ(rep.launched, 2u);
+    EXPECT_LT(sec, 1.5);
+    std::system(("rm -rf " + dir).c_str());
+}
+
 TEST(OrchestratorCli, ShardExitCodesFollowTheContract)
 {
     const std::string shard = QRAMSIM_SHARD_BIN;
@@ -722,6 +793,9 @@ TEST(OrchestratorCli, ShardExitCodesFollowTheContract)
     EXPECT_EQ(shCode(shard + " frobnicate" + quiet), 2);
     EXPECT_EQ(shCode(shard + run + " --arch cray" + quiet), 2);
     EXPECT_EQ(shCode(shard + run + " --shard 9/4" + quiet), 2);
+    EXPECT_EQ(shCode(shard + run + " --eps -0.5" + quiet), 2);
+    EXPECT_EQ(shCode(shard + run + " --eps 7" + quiet), 2);
+    EXPECT_EQ(shCode(shard + run + " --noise gate-zz" + quiet), 2);
     // 3: I/O — unwritable output, unreadable merge input.
     EXPECT_EQ(shCode(shard + run + " --out " + dir +
                      "/no/such/dir/x.json" + quiet),

@@ -433,6 +433,45 @@ TEST(ResultKey, SemanticChangesChangeTheKey)
     std::vector<std::string> adaptive = base;
     adaptive.push_back("--adaptive");
     EXPECT_NE(k0, keyOf(adaptive));
+    // So does the sampler version: a result spilled by another one
+    // must never answer.
+    EXPECT_NE(k0.find(";sampler=" + std::to_string(kSamplerVersion) +
+                      ";"),
+              std::string::npos)
+        << k0;
+}
+
+TEST(ResultKey, ValidateRefusesBadRatesAndNoiseNames)
+{
+    // A resident worker validates a request before it builds
+    // anything: rates outside [0, 1] and unknown Pauli channel names
+    // are refused, not run.
+    tool::Workload w;
+    w.noise = "gate-depol";
+    std::string why;
+    EXPECT_TRUE(w.validate(&why)) << why;
+    for (const char *bad : {"gate-zz", "qubit-", "gate-", "qubit-depolx",
+                            "gate-Z", "devices"}) {
+        w.noise = bad;
+        EXPECT_FALSE(w.validate(&why)) << bad;
+    }
+    for (const char *ok : {"gate-x", "gate-y", "qubit-z", "qubit-depol",
+                           "device"}) {
+        w.noise = ok;
+        EXPECT_TRUE(w.validate(&why)) << ok << ": " << why;
+    }
+    w.noise = "device";
+    for (double bad : {-0.5, 7.0, 1.0 + 1e-9}) {
+        w.eps = bad;
+        EXPECT_FALSE(w.validate(&why)) << bad;
+        w.eps = 1e-3;
+        w.eps2 = bad;
+        EXPECT_FALSE(w.validate(&why)) << bad;
+        w.eps2 = 1e-3;
+    }
+    w.eps = 0.0;
+    w.eps2 = 1.0;
+    EXPECT_TRUE(w.validate(&why)) << why;
 }
 
 // --- Server::handle (the full cache ladder, no socket) -----------------

@@ -237,6 +237,43 @@ TEST(Sharding, MergeRejectsMismatchedOrIncompletePartials)
     EXPECT_TRUE(mergePartials(parts, merged, &err)) << err;
 }
 
+TEST(Sharding, MergeRefusesAnotherSamplerVersion)
+{
+    // Another sampler version draws other shots from the same seed:
+    // its partials must never merge with this build's. A partial whose
+    // JSON predates the version field was drawn by version 1.
+    Rng rng(4243);
+    Memory mem = Memory::random(3, rng);
+    QueryCircuit qc = BucketBrigadeQram(3).build(mem);
+    FidelityEstimator est(qc.circuit, qc.addressQubits, qc.busQubit,
+                          AddressSuperposition::uniform(3));
+    GateNoise noise(PauliRates::depolarizing(2e-3));
+    SweepPlan plan = SweepPlan::partition(16, 2, 5, {0.5, 1.0});
+    std::vector<PartialEstimate> parts;
+    for (const ShardSpec &s : plan.shards)
+        parts.push_back(est.runShard(noise, s));
+    ASSERT_EQ(parts[0].sampler, kSamplerVersion);
+
+    PartialEstimate merged;
+    std::string err;
+    std::vector<PartialEstimate> mixed = parts;
+    mixed[1].sampler = kSamplerVersion - 1;
+    EXPECT_FALSE(mergePartials(mixed, merged, &err));
+    EXPECT_NE(err.find("sampler"), std::string::npos) << err;
+
+    std::string json = parts[1].toJson();
+    const std::string field = "  \"sampler\": " +
+                              std::to_string(kSamplerVersion) + ",\n";
+    const std::size_t at = json.find(field);
+    ASSERT_NE(at, std::string::npos) << json;
+    PartialEstimate old;
+    json.erase(at, field.size());
+    ASSERT_TRUE(PartialEstimate::fromJson(json, old, &err)) << err;
+    EXPECT_EQ(old.sampler, 1u);
+    EXPECT_FALSE(mergePartials({parts[0], old}, merged, &err));
+    EXPECT_TRUE(mergePartials(parts, merged, &err)) << err;
+}
+
 // --- JSON --------------------------------------------------------------
 
 TEST(Sharding, PartialJsonRoundTripIsExact)
@@ -396,8 +433,11 @@ TEST(Sharding, QubitChannelSweepMatchesScaledSampleFlat)
         std::vector<FlatRealization> outs(factors.size());
         std::size_t events = 0;
         for (int shot = 0; shot < 8; ++shot) {
-            // Both generator families: the sweep's one draw per site
-            // must reproduce each scaled model's own draws.
+            // Sequential: the sweep's one draw per site must reproduce
+            // each scaled model's own draws. Counter streams walk the
+            // sweep's tops, which are the largest factor's thresholds,
+            // so that point alone matches draw for draw (the other
+            // points match in distribution: tests/test_sampler.cc).
             Rng sweepRng(7000 + shot);
             sweep.sampleFlatSweep(exec, sweepRng, factors.data(),
                                   factors.size(), outs.data());
@@ -414,10 +454,12 @@ TEST(Sharding, QubitChannelSweepMatchesScaledSampleFlat)
                 FlatRealization ref;
                 scaled.sampleFlat(exec, pointRng, ref);
                 expectRealizationsEq(outs[j], ref);
+                events += ref.events.size();
+                if (j + 1 < factors.size())
+                    continue;
                 CounterRng pointCtr(7000, shot);
                 scaled.sampleFlat(exec, pointCtr, ref);
                 expectRealizationsEq(ctrOuts[j], ref);
-                events += ref.events.size();
             }
         }
         EXPECT_GT(events, 0u) << "rates too low to compare anything";
@@ -596,6 +638,17 @@ TEST(Sharding, CliRejectsMalformedAndUnknownFlags)
         EXPECT_NE(sh(base + " --m 3 --factors " + bad), 0) << bad;
     // 0 is the noiseless point, not a malformed factor.
     EXPECT_EQ(sh(base + " --m 3 --factors 0,0.5,2"), 0);
+    // Rates are probabilities, and a Pauli channel name is exact (a
+    // negative rate used to read as a perfect fidelity, and gate-zz
+    // ran as gate-depol).
+    for (const char *bad :
+         {"--eps -0.5", "--eps 7", "--eps 1.0000001",
+          "--noise device --eps2 -1", "--noise device --eps2 2",
+          "--noise gate-zz", "--noise qubit-zz", "--noise gate-",
+          "--noise qubit-depolarizing"})
+        EXPECT_NE(sh(base + " --m 3 " + bad), 0) << bad;
+    EXPECT_EQ(sh(base + " --m 3 --eps 0"), 0);
+    EXPECT_EQ(sh(base + " --m 3 --eps 1 --noise qubit-y"), 0);
     // Unknown flags must not be silently ignored.
     EXPECT_NE(sh(base + " --m 3 --frobnicate"), 0);
     EXPECT_NE(sh(" merge --out /dev/null --frobnicate"), 0);

@@ -79,24 +79,36 @@ struct Workload
         std::exit(2); // kToolExitUsage
     }
 
+    /**
+     * The Pauli channel a `qubit-` / `gate-` suffix names at rate
+     * @p e: x, y, z or depol. False on any other suffix.
+     */
+    static bool
+    pauliRates(const std::string &kind, double e, PauliRates &out)
+    {
+        if (kind == "x")
+            out = PauliRates::bitFlip(e);
+        else if (kind == "y")
+            out = PauliRates{0.0, e, 0.0};
+        else if (kind == "z")
+            out = PauliRates::phaseFlip(e);
+        else if (kind == "depol")
+            out = PauliRates::depolarizing(e);
+        else
+            return false;
+        return true;
+    }
+
     std::unique_ptr<NoiseModel>
     makeNoise() const
     {
-        auto pauli = [&](const char *kind) -> PauliRates {
-            if (std::strcmp(kind, "x") == 0)
-                return PauliRates::bitFlip(eps);
-            if (std::strcmp(kind, "y") == 0)
-                return PauliRates{0.0, eps, 0.0};
-            if (std::strcmp(kind, "z") == 0)
-                return PauliRates::phaseFlip(eps);
-            return PauliRates::depolarizing(eps); // depol
-        };
-        if (noise.rfind("qubit-", 0) == 0)
-            return std::make_unique<QubitChannelNoise>(
-                pauli(noise.c_str() + 6), rounds);
-        if (noise.rfind("gate-", 0) == 0)
-            return std::make_unique<GateNoise>(pauli(noise.c_str() + 5),
-                                               weighted);
+        PauliRates r;
+        if (noise.rfind("qubit-", 0) == 0 &&
+            pauliRates(noise.substr(6), eps, r))
+            return std::make_unique<QubitChannelNoise>(r, rounds);
+        if (noise.rfind("gate-", 0) == 0 &&
+            pauliRates(noise.substr(5), eps, r))
+            return std::make_unique<GateNoise>(r, weighted);
         if (noise == "device")
             return std::make_unique<DeviceNoise>(eps, eps2);
         std::fprintf(stderr, "unknown --noise '%s'\n", noise.c_str());
@@ -118,6 +130,9 @@ struct Workload
                       weighted ? 1 : 0, shots);
         return buf;
     }
+
+    /** A probability: finite and in [0, 1]. */
+    static bool rateInRange(double p) { return p >= 0.0 && p <= 1.0; }
 
     /**
      * Non-exiting validation of the names build()/makeNoise() would
@@ -142,11 +157,18 @@ struct Workload
             return fail("unknown arch '" + arch + "'");
         if (m == 0)
             return fail("m must be positive");
-        // Mirrors makeNoise(): any qubit-*/gate-* suffix is a Pauli
-        // channel name (unrecognized suffixes mean depolarizing).
-        if (noise.rfind("qubit-", 0) != 0 &&
-            noise.rfind("gate-", 0) != 0 && noise != "device")
+        // Mirrors makeNoise(): qubit-/gate- take x, y, z or depol.
+        PauliRates r;
+        const bool known =
+            noise == "device" ||
+            (noise.rfind("qubit-", 0) == 0 &&
+             pauliRates(noise.substr(6), eps, r)) ||
+            (noise.rfind("gate-", 0) == 0 &&
+             pauliRates(noise.substr(5), eps, r));
+        if (!known)
             return fail("unknown noise '" + noise + "'");
+        if (!rateInRange(eps) || !rateInRange(eps2))
+            return fail("--eps and --eps2 want a rate in [0, 1]");
         return true;
     }
 };
@@ -241,12 +263,15 @@ parseRunFlags(int argc, char **argv, RunOptions &opt)
             if (!v)
                 return false;
             opt.w.noise = v;
-        } else if (flag == "--eps") {
-            if (!doubleVal(opt.w.eps))
+        } else if (flag == "--eps" || flag == "--eps2") {
+            double &rate = flag == "--eps" ? opt.w.eps : opt.w.eps2;
+            if (!doubleVal(rate))
                 return false;
-        } else if (flag == "--eps2") {
-            if (!doubleVal(opt.w.eps2))
+            if (!Workload::rateInRange(rate)) {
+                std::fprintf(stderr, "%s wants a rate in [0, 1]\n",
+                             flag.c_str());
                 return false;
+            }
         } else if (flag == "--rounds") {
             if (!uintVal(1ul << 30, u))
                 return false;
@@ -443,7 +468,9 @@ cutShardSpec(const RunOptions &opt, ShardSpec &spec,
  * lists with the same doubles) canonicalize to the same text, while
  * every semantic knob (workload, noise rates, shot budget, seed,
  * stream, sweep factors, the estimate mode and the full adaptive
- * policy — batch included, it moves stopping decisions) changes it.
+ * policy — batch included, it moves stopping decisions) changes it,
+ * and so does the sampler version (kSamplerVersion): a spilled result
+ * or a journaled job drawn by another sampler never answers.
  *
  * Deliberately EXCLUDED: threads, engine and SIMD-tier pins, and
  * the output path. The estimation invariants enforced by
@@ -459,9 +486,9 @@ estimateKey(const RunOptions &opt)
 {
     std::string key = opt.w.fingerprint(opt.shots);
     char buf[320];
-    std::snprintf(buf, sizeof buf, ";seed=%llu;stream=%s",
+    std::snprintf(buf, sizeof buf, ";seed=%llu;stream=%s;sampler=%u",
                   static_cast<unsigned long long>(opt.seed),
-                  shotStreamName(opt.stream));
+                  shotStreamName(opt.stream), kSamplerVersion);
     key += buf;
     key += ";factors=";
     for (std::size_t i = 0; i < opt.factors.size(); ++i) {
