@@ -42,11 +42,15 @@ atomicFileFsync()
 }
 
 /**
- * Atomically replace @p path with @p content. The bytes land in
- * `path.tmp.<pid>` first (pid-suffixed so concurrent writers — e.g. a
- * speculative duplicate shard — never clobber each other's temp) and
- * are renamed over the target only after a clean close, so a crash at
- * any instant leaves the old content or the new, never a prefix.
+ * Atomically replace @p path with the bytes @p fill writes to the
+ * FILE* it is handed (@p fill returns false on a write error). The
+ * bytes land in `path.tmp.<pid>` first (pid-suffixed so concurrent
+ * writers — e.g. a speculative duplicate shard — never clobber each
+ * other's temp) and are renamed over the target only after a clean
+ * close, so a crash at any instant leaves the old content or the new,
+ * never a prefix. Streaming through @p fill lets a writer replace a
+ * large file (the broker's journal snapshot) without first building
+ * it in memory; atomicWriteFile below is the one-string case.
  *
  * DURABILITY INVARIANT: the temp file is fsync'd before the rename
  * and the parent directory is fsync'd after it (unless
@@ -65,8 +69,9 @@ atomicFileFsync()
  * nature. On failure returns false with a one-line reason in @p err
  * (when non-null) and removes the temp file.
  */
+template <class Fill>
 inline bool
-atomicWriteFile(const std::string &path, const std::string &content,
+atomicWriteWith(const std::string &path, Fill &&fill,
                 std::string *err = nullptr)
 {
     auto fail = [&](const std::string &msg) {
@@ -83,9 +88,7 @@ atomicWriteFile(const std::string &path, const std::string &content,
     std::FILE *f = std::fopen(target.c_str(), "wb");
     if (!f)
         return fail("cannot open " + target + " for writing");
-    bool wrote =
-        std::fwrite(content.data(), 1, content.size(), f) ==
-        content.size();
+    bool wrote = fill(f);
     // Flush libc buffers and push the data to stable storage BEFORE
     // the rename publishes the name (see the invariant above).
     if (wrote && regular && atomicFileFsync())
@@ -114,6 +117,20 @@ atomicWriteFile(const std::string &path, const std::string &content,
         }
     }
     return true;
+}
+
+/** Atomically replace @p path with @p content (see atomicWriteWith). */
+inline bool
+atomicWriteFile(const std::string &path, const std::string &content,
+                std::string *err = nullptr)
+{
+    return atomicWriteWith(
+        path,
+        [&](std::FILE *f) {
+            return std::fwrite(content.data(), 1, content.size(), f) ==
+                   content.size();
+        },
+        err);
 }
 
 /** Read the whole file at @p path into @p out. False when it cannot

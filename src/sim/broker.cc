@@ -87,6 +87,8 @@ buildMsg(const Msg &m)
     json::appendDouble(s, m.heartbeatSec);
     s += ", \"poll_seconds\": ";
     json::appendDouble(s, m.pollSec);
+    s += ", \"dead_seconds\": ";
+    json::appendDouble(s, m.deadSec);
     s += ", \"args\": ";
     json::appendStringArray(s, m.args);
     s += ", \"done\": ";
@@ -161,6 +163,8 @@ parseMsg(const std::string &text, Msg &out, std::string *err)
                      out.heartbeatSec >= 0.0;
             } else if (key == "poll_seconds") {
                 ok = c.parseNumber(out.pollSec) && out.pollSec >= 0.0;
+            } else if (key == "dead_seconds") {
+                ok = c.parseNumber(out.deadSec) && out.deadSec >= 0.0;
             } else if (key == "args") {
                 ok = c.parseStringArray(out.args);
             } else if (key == "done") {
@@ -327,7 +331,10 @@ struct Broker::ShardState
     bool failed = false;
     unsigned attempts = 0; ///< primary assignments so far
     int liveLeases = 0;
-    std::string payload; ///< the winning commit
+    /** The winning commit while it is not in the journal. */
+    std::string payload;
+    /** Its journal commit line (lineLen 0 = the payload is in memory). */
+    std::uint64_t lineOff = 0, lineLen = 0;
     std::string lastError;
     std::string lastWorker;
     bool everAssigned = false;
@@ -344,6 +351,8 @@ struct Broker::Job
     SweepPlan plan;
     std::string expectedWorkload;
     std::vector<ShardState> shards; ///< size = plan.shards.size()
+    /** Commits, failures and requeues so far: a poll's `progress`. */
+    std::uint64_t transitions = 0;
     Clock::time_point lastClientContact{};
     bool parked = false;
     bool complete = false;
@@ -554,6 +563,7 @@ Broker::start(std::string *err)
     std::lock_guard<std::mutex> lk(mu_);
     if (running_)
         return fail("broker already running");
+    stopping_ = false;
     if (!cfg_.stateDir.empty()) {
         if (!makeDirs(cfg_.stateDir))
             return fail("cannot create state dir " + cfg_.stateDir);
@@ -614,6 +624,9 @@ Broker::stop()
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
+        // Parked pulls and polls answer at once, and none park again.
+        stopping_ = true;
+        changed_.notify_all();
         if (!running_ && listenFd_ < 0 && conns_.empty() &&
             journalFd_ < 0)
             return;
@@ -653,6 +666,16 @@ Broker::deadSec() const
 {
     return cfg_.workerDeadSec > 0.0 ? cfg_.workerDeadSec
                                     : 3.0 * cfg_.heartbeatSec;
+}
+
+double
+Broker::parkCapSec() const
+{
+    // A parked pull touches its worker only when it answers, so it
+    // must answer well inside the dead-worker deadline.
+    const double dead = deadSec();
+    return dead > 0.0 ? std::min(cfg_.pollSec, 0.5 * dead)
+                      : cfg_.pollSec;
 }
 
 void
@@ -757,17 +780,35 @@ Broker::housekeepingLoop()
 std::string
 Broker::handleMessage(const std::string &frame)
 {
-    Msg req, resp;
+    Msg req;
     std::string err;
-    const Clock::time_point now = Clock::now();
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(mu_);
     if (!parseMsg(frame, req, &err)) {
         ++stats_.badFrames;
+        Msg resp;
         resp.type = "error";
         resp.error = "bad frame: " + err;
         return buildMsg(resp);
     }
-    return buildMsg(handleLocked(req, now));
+    // Long-poll: a pull or poll carrying poll_seconds is answered
+    // again on every state change and returned once the answer has
+    // news, at its deadline, or when stop() releases it.
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(
+                               std::min(req.pollSec, parkCapSec())));
+    for (;;) {
+        const Clock::time_point now = Clock::now();
+        Msg resp = handleLocked(req, now);
+        const bool nothingNew =
+            (req.type == "pull" && resp.type == "idle") ||
+            (req.type == "poll" && resp.type == "status" &&
+             resp.progress == req.progress && !resp.complete &&
+             !resp.jobFailed);
+        if (!nothingNew || stopping_ || now >= deadline)
+            return buildMsg(resp);
+        changed_.wait_until(lk, deadline);
+    }
 }
 
 Msg
@@ -806,11 +847,9 @@ Broker::touchWorkerLocked(const std::string &name,
 double
 Broker::leaseDurationLocked() const
 {
-    if (cfg_.stragglerFactor > 0.0 &&
+    if (cfg_.stragglerFactor > 0.0 && !doneDurations_.empty() &&
         doneDurations_.size() >= cfg_.stragglerMinDone) {
-        std::vector<double> sorted(doneDurations_);
-        std::sort(sorted.begin(), sorted.end());
-        const double median = sorted[sorted.size() / 2];
+        const double median = doneDurations_[doneDurations_.size() / 2];
         const double scaled = cfg_.stragglerFactor * median;
         // Never let a fast history shrink the lease below a sane
         // floor: scheduling noise alone can exceed a tiny median.
@@ -832,7 +871,7 @@ Broker::handleRegister(const Msg &req, Clock::time_point now)
     resp.type = "registered";
     resp.worker = req.worker;
     resp.heartbeatSec = cfg_.heartbeatSec;
-    resp.pollSec = cfg_.pollSec;
+    resp.pollSec = parkCapSec();
     return resp;
 }
 
@@ -918,43 +957,48 @@ Broker::handlePull(const Msg &req, Clock::time_point now)
         return assign(job, shard, false);
     }
 
-    // Queue empty: steal — speculatively duplicate the oldest
-    // in-flight lease past the straggler threshold, if its history
-    // says it is overdue and nobody else is already duplicating it.
-    if (cfg_.stragglerFactor > 0.0 &&
-        doneDurations_.size() >= cfg_.stragglerMinDone) {
-        std::vector<double> sorted(doneDurations_);
-        std::sort(sorted.begin(), sorted.end());
-        const double threshold =
-            cfg_.stragglerFactor * sorted[sorted.size() / 2];
-        const Lease *victim = nullptr;
-        double victimAge = 0.0;
-        for (const auto &kv : leases_) {
-            const Lease &l = kv.second;
-            if (l.worker == req.worker)
-                continue; // no self-steal
-            auto jit = jobs_.find(l.job);
-            if (jit == jobs_.end() || jit->second.parked ||
-                jit->second.complete)
-                continue;
-            const ShardState &ss = jit->second.shards[l.shard];
-            if (ss.done || ss.failed || ss.liveLeases != 1)
-                continue;
-            const double age =
-                std::chrono::duration<double>(now - l.issued).count();
-            if (age > threshold && age > victimAge) {
-                victim = &l;
-                victimAge = age;
-            }
-        }
-        if (victim)
-            return assign(jobs_.find(victim->job)->second,
-                          victim->shard, true);
-    }
+    // Queue empty: steal.
+    if (const Lease *victim = stealVictimLocked(req.worker, now))
+        return assign(jobs_.find(victim->job)->second, victim->shard,
+                      true);
 
     resp.type = "idle";
-    resp.pollSec = cfg_.pollSec;
     return resp;
+}
+
+const Broker::Lease *
+Broker::stealVictimLocked(const std::string &worker,
+                          Clock::time_point now) const
+{
+    // Speculatively duplicate the oldest in-flight lease past the
+    // straggler threshold, if its history says it is overdue and
+    // nobody else is already duplicating it.
+    if (cfg_.stragglerFactor <= 0.0 || doneDurations_.empty() ||
+        doneDurations_.size() < cfg_.stragglerMinDone)
+        return nullptr;
+    const double threshold =
+        cfg_.stragglerFactor * doneDurations_[doneDurations_.size() / 2];
+    const Lease *victim = nullptr;
+    double victimAge = 0.0;
+    for (const auto &kv : leases_) {
+        const Lease &l = kv.second;
+        if (l.worker == worker)
+            continue; // no self-steal
+        auto jit = jobs_.find(l.job);
+        if (jit == jobs_.end() || jit->second.parked ||
+            jit->second.complete)
+            continue;
+        const ShardState &ss = jit->second.shards[l.shard];
+        if (ss.done || ss.failed || ss.liveLeases != 1)
+            continue;
+        const double age =
+            std::chrono::duration<double>(now - l.issued).count();
+        if (age > threshold && age > victimAge) {
+            victim = &l;
+            victimAge = age;
+        }
+    }
+    return victim;
 }
 
 Msg
@@ -1022,6 +1066,7 @@ Broker::returnShardLocked(const std::string &jobId, std::size_t shard,
     ss.hasReturnedAt = true;
     ss.returnedAt = now;
     queue_.push_back(QueueEntry{jobId, shard});
+    changed_.notify_all();
 }
 
 Msg
@@ -1062,13 +1107,17 @@ Broker::handleCommit(const Msg &req, Clock::time_point now)
     ShardState &ss = job.shards[shard];
     resp.type = "ok";
 
-    if (ss.done) {
+    std::string won;
+    if (ss.done &&
+        (req.status != 0 || settledPayloadLocked(job, shard, won))) {
         // First valid commit won already; this one is the loser of a
         // steal or a speculation — which makes it a free end-to-end
-        // integrity check.
+        // integrity check. (A winner whose journal line failed its
+        // read-back was requeued instead, and this commit may settle
+        // the shard below.)
         ++stats_.duplicateCommits;
         if (req.status == 0) {
-            if (equivalentPartials(ss.payload, req.payload))
+            if (equivalentPartials(won, req.payload))
                 ++stats_.duplicateMatches;
             else
                 ++stats_.duplicateMismatches;
@@ -1082,7 +1131,10 @@ Broker::handleCommit(const Msg &req, Clock::time_point now)
         if (validCommit(job.plan, job.expectedWorkload, shard,
                         req.payload, &why)) {
             if (leaseAge >= 0.0)
-                doneDurations_.push_back(leaseAge);
+                doneDurations_.insert(
+                    std::upper_bound(doneDurations_.begin(),
+                                     doneDurations_.end(), leaseAge),
+                    leaseAge);
             acceptCommitLocked(job, shard, req.payload, now);
             resp.accepted = 1;
             return resp;
@@ -1117,7 +1169,8 @@ Broker::acceptCommitLocked(Job &job, std::size_t shard,
     ShardState &ss = job.shards[shard];
     ss.done = true;
     ss.failed = false;
-    ss.payload = payload;
+    ss.payload = payload; // dropped once its journal line lands whole
+    ++job.transitions;
     ++stats_.commitsAccepted;
     {
         JournalBody b;
@@ -1127,7 +1180,7 @@ Broker::acceptCommitLocked(Job &job, std::size_t shard,
         b.payload = payload;
         const ShardSpec &spec = job.plan.shards[shard];
         appendEntryLocked(buildJournalBody(b), spec.shotBegin,
-                          spec.shotEnd);
+                          spec.shotEnd, &ss);
     }
     bool all = true;
     for (const ShardState &s : job.shards)
@@ -1140,6 +1193,54 @@ Broker::acceptCommitLocked(Job &job, std::size_t shard,
         b.job = job.id;
         appendEntryLocked(buildJournalBody(b), 0, 0);
     }
+    changed_.notify_all();
+}
+
+bool
+Broker::settledPayloadLocked(Job &job, std::size_t shard,
+                             std::string &out)
+{
+    ShardState &ss = job.shards[shard];
+    if (ss.lineLen == 0) {
+        out = ss.payload;
+        return true;
+    }
+    std::string line(ss.lineLen, '\0');
+    std::size_t got = 0;
+    while (journalFd_ >= 0 && got < line.size()) {
+        const ssize_t n =
+            ::pread(journalFd_, &line[got], line.size() - got,
+                    static_cast<off_t>(ss.lineOff + got));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    JournalEntry entry;
+    JournalBody b;
+    if (got == line.size() && line.back() == '\n') {
+        line.pop_back();
+        if (parseJournalLine(line, entry) &&
+            parseJournalBody(entry.body, b) && b.kind == "commit" &&
+            b.job == job.id && b.shard == shard) {
+            out = std::move(b.payload);
+            return true;
+        }
+    }
+    // Not the line this shard committed: serve neither version and
+    // recompute the shard, as replay does with a payload it cannot
+    // vouch for.
+    ++stats_.journalBadReads;
+    ss.done = false;
+    ss.lineOff = ss.lineLen = 0;
+    ss.attempts = 0;
+    job.complete = false;
+    ++job.transitions;
+    if (ss.liveLeases == 0)
+        queue_.push_back(QueueEntry{job.id, shard});
+    changed_.notify_all();
+    return false;
 }
 
 void
@@ -1151,6 +1252,7 @@ Broker::failShardLocked(Job &job, std::size_t shard,
         return;
     ss.failed = true;
     ss.lastError = why;
+    ++job.transitions;
     ++stats_.shardsFailed;
     JournalBody b;
     b.kind = "failed";
@@ -1158,6 +1260,7 @@ Broker::failShardLocked(Job &job, std::size_t shard,
     b.shard = shard;
     b.error = why;
     appendEntryLocked(buildJournalBody(b), 0, 0);
+    changed_.notify_all();
 }
 
 Msg
@@ -1182,12 +1285,17 @@ Broker::handleSubmit(const Msg &req, Clock::time_point now)
             return resp;
         }
         job.lastClientContact = now;
-        job.parked = false;
+        if (job.parked) {
+            job.parked = false;
+            changed_.notify_all();
+        }
         ++stats_.jobsResumed;
         resp.type = "job";
         resp.job = id;
         resp.total = job.plan.shards.size();
         resp.resumed = 1;
+        resp.pollSec = parkCapSec();
+        resp.deadSec = deadSec();
         return resp;
     }
 
@@ -1198,7 +1306,9 @@ Broker::handleSubmit(const Msg &req, Clock::time_point now)
         resp.error = "bad submit: " + why;
         return resp;
     }
-    Job job;
+    // In the table before its journal line: a compaction that this
+    // append sets off must snapshot the new job too.
+    Job &job = jobs_[id];
     job.id = id;
     job.fingerprint = req.fingerprint;
     job.args = req.args;
@@ -1223,7 +1333,9 @@ Broker::handleSubmit(const Msg &req, Clock::time_point now)
     resp.type = "job";
     resp.job = id;
     resp.total = job.plan.shards.size();
-    jobs_[id] = std::move(job);
+    resp.pollSec = parkCapSec();
+    resp.deadSec = deadSec();
+    changed_.notify_all();
     return resp;
 }
 
@@ -1239,9 +1351,13 @@ Broker::handlePoll(const Msg &req, Clock::time_point now)
     }
     Job &job = it->second;
     job.lastClientContact = now;
-    job.parked = false; // a polling client unparks its job
+    if (job.parked) { // a polling client unparks its job
+        job.parked = false;
+        changed_.notify_all();
+    }
     resp.type = "status";
     resp.total = job.shards.size();
+    resp.progress = job.transitions;
     std::size_t nDone = 0, nFailed = 0;
     for (std::size_t i = 0; i < job.shards.size(); ++i) {
         if (job.shards[i].done) {
@@ -1270,21 +1386,22 @@ Broker::handleFetch(const Msg &req, Clock::time_point now)
     }
     Job &job = it->second;
     job.lastClientContact = now;
-    job.parked = false;
+    if (job.parked) {
+        job.parked = false;
+        changed_.notify_all();
+    }
     if (req.shard >= job.shards.size()) {
         resp.type = "error";
         resp.error = "shard index out of range";
         return resp;
     }
-    const ShardState &ss = job.shards[req.shard];
-    if (!ss.done) {
+    resp.shard = req.shard;
+    if (!job.shards[req.shard].done ||
+        !settledPayloadLocked(job, req.shard, resp.payload)) {
         resp.type = "pending";
-        resp.shard = req.shard;
         return resp;
     }
     resp.type = "result";
-    resp.shard = req.shard;
-    resp.payload = ss.payload;
     return resp;
 }
 
@@ -1347,6 +1464,11 @@ Broker::tickLocked(Clock::time_point now)
             }
         }
     }
+
+    // A lease just went overdue for a queue-empty steal: parked pulls
+    // re-check (the no-self-steal rule is theirs to apply).
+    if (stealVictimLocked(std::string(), now))
+        changed_.notify_all();
 }
 
 // --- Journal plumbing --------------------------------------------------
@@ -1354,7 +1476,8 @@ Broker::tickLocked(Clock::time_point now)
 void
 Broker::appendEntryLocked(const std::string &body,
                           std::size_t faultShotBegin,
-                          std::size_t faultShotEnd)
+                          std::size_t faultShotEnd,
+                          ShardState *committed)
 {
     if (journalFd_ < 0)
         return;
@@ -1389,8 +1512,20 @@ Broker::appendEntryLocked(const std::string &body,
     if (atomicFileFsync())
         ::fsync(journalFd_);
     ++nextSeq_;
-    journalBytes_ += line.size();
-    if (journalBytes_ > cfg_.rotateBytes)
+    // Count only the bytes that landed: journalBytes_ is the file's
+    // length, so it is where this line starts and the next one will.
+    const std::uint64_t at = journalBytes_;
+    journalBytes_ += off;
+    if (committed && off == line.size()) {
+        committed->lineOff = at;
+        committed->lineLen = line.size();
+        std::string().swap(committed->payload);
+    }
+    // Geometric rotation: a snapshot is rewritten only after as many
+    // bytes were appended since the last one as it holds, so each
+    // append pays O(1) amortized for compaction.
+    if (journalBytes_ >
+        std::max<std::uint64_t>(cfg_.rotateBytes, 2 * snapshotBytes_))
         compactLocked();
 }
 
@@ -1401,63 +1536,95 @@ Broker::compactLocked(std::string *err)
         return;
     // Snapshot the live state as a fresh journal: every job's
     // admission, its accepted commits and failures, and its done
-    // marker. Rewritten atomically (write-temp-fsync-rename), which
-    // is both the rotation mechanism and torn-tail repair.
-    std::string text;
-    std::uint64_t seq = 1;
-    for (const auto &kv : jobs_) {
-        const Job &job = kv.second;
-        {
-            JournalBody b;
-            b.kind = "job";
-            b.job = job.id;
-            b.fingerprint = job.fingerprint;
-            b.nshards = job.nshards;
-            b.args = job.args;
-            text += buildJournalLine(seq++, buildJournalBody(b));
-        }
-        for (std::size_t i = 0; i < job.shards.size(); ++i) {
-            const ShardState &ss = job.shards[i];
-            if (ss.done) {
-                JournalBody b;
-                b.kind = "commit";
-                b.job = job.id;
-                b.shard = i;
-                b.payload = ss.payload;
-                text += buildJournalLine(seq++, buildJournalBody(b));
-            } else if (ss.failed) {
-                JournalBody b;
-                b.kind = "failed";
-                b.job = job.id;
-                b.shard = i;
-                b.error = ss.lastError;
-                text += buildJournalLine(seq++, buildJournalBody(b));
-            }
-        }
-        if (job.complete) {
-            JournalBody b;
-            b.kind = "done";
-            b.job = job.id;
-            text += buildJournalLine(seq++, buildJournalBody(b));
-        }
-    }
-    if (journalFd_ >= 0) {
-        ::close(journalFd_);
-        journalFd_ = -1;
-    }
+    // marker. The lines stream into atomicWriteWith's temp file one
+    // at a time (settled payloads are read back from the current
+    // journal), and the rename is both the rotation mechanism and
+    // torn-tail repair. Where each commit line lands is applied only
+    // once the snapshot has replaced the journal.
+    struct Placed
+    {
+        ShardState *ss;
+        std::uint64_t off, len;
+    };
+    std::vector<Placed> placed;
+    std::uint64_t seq = 1, bytes = 0;
     const std::string path = journalPath(cfg_.stateDir);
     std::string werr;
-    if (!atomicWriteFile(path, text, &werr)) {
+    const bool written = atomicWriteWith(
+        path,
+        [&](std::FILE *f) {
+            auto put = [&](const JournalBody &b) {
+                const std::string line =
+                    buildJournalLine(seq++, buildJournalBody(b));
+                bytes += line.size();
+                return std::fwrite(line.data(), 1, line.size(), f) ==
+                       line.size();
+            };
+            for (auto &kv : jobs_) {
+                Job &job = kv.second;
+                JournalBody adm;
+                adm.kind = "job";
+                adm.job = job.id;
+                adm.fingerprint = job.fingerprint;
+                adm.nshards = job.nshards;
+                adm.args = job.args;
+                if (!put(adm))
+                    return false;
+                for (std::size_t i = 0; i < job.shards.size(); ++i) {
+                    ShardState &ss = job.shards[i];
+                    JournalBody b;
+                    b.job = job.id;
+                    b.shard = i;
+                    if (ss.done) {
+                        b.kind = "commit";
+                        if (!settledPayloadLocked(job, i, b.payload))
+                            continue; // requeued: it commits again
+                        const std::uint64_t at = bytes;
+                        if (!put(b))
+                            return false;
+                        placed.push_back(Placed{&ss, at, bytes - at});
+                    } else if (ss.failed) {
+                        b.kind = "failed";
+                        b.error = ss.lastError;
+                        if (!put(b))
+                            return false;
+                    }
+                }
+                if (job.complete) {
+                    JournalBody b;
+                    b.kind = "done";
+                    b.job = job.id;
+                    if (!put(b))
+                        return false;
+                }
+            }
+            return true;
+        },
+        &werr);
+    if (!written) {
         if (err)
             *err = werr;
         return;
     }
-    journalFd_ =
-        ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-    if (journalFd_ < 0 && err)
-        *err = "open " + path + ": " + std::strerror(errno);
+    if (journalFd_ >= 0)
+        ::close(journalFd_);
+    // O_RDWR: settled payloads are read back from this fd.
+    journalFd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
+    if (journalFd_ < 0) {
+        // Journaling stops; payloads kept only in the old file fail
+        // their read-back and are recomputed.
+        if (err)
+            *err = "open " + path + ": " + std::strerror(errno);
+        return;
+    }
+    for (const Placed &p : placed) {
+        p.ss->lineOff = p.off;
+        p.ss->lineLen = p.len;
+        std::string().swap(p.ss->payload);
+    }
     nextSeq_ = seq;
-    journalBytes_ = text.size();
+    journalBytes_ = snapshotBytes_ = bytes;
+    ++stats_.journalCompactions;
 }
 
 bool
@@ -1515,7 +1682,8 @@ Broker::replayLocked(const std::string &text, std::string *err)
             if (ss.done)
                 continue;
             ss.done = true;
-            ss.payload = b.payload;
+            ss.payload = std::move(b.payload);
+            ++it->second.transitions;
             ++stats_.journalReplayedCommits;
         } else if (b.kind == "failed") {
             auto it = jobs_.find(b.job);
@@ -1525,10 +1693,11 @@ Broker::replayLocked(const std::string &text, std::string *err)
                 continue;
             }
             ShardState &ss = it->second.shards[b.shard];
-            if (!ss.done) {
+            if (!ss.done && !ss.failed) {
                 ss.failed = true;
                 ss.lastError = b.error;
                 ss.attempts = cfg_.maxAttempts;
+                ++it->second.transitions;
             }
         } else if (b.kind == "done") {
             // Advisory: completeness is re-derived below from the
@@ -1571,7 +1740,7 @@ Broker::statsJson() const
 {
     const Stats s = stats();
     std::string out = "{\n  \"qramsim_broker_stats\": 1,\n";
-    char buf[1024];
+    char buf[1536];
     std::snprintf(
         buf, sizeof buf,
         "  \"jobs_submitted\": %llu,\n  \"jobs_resumed\": %llu,\n"
@@ -1587,6 +1756,8 @@ Broker::statsJson() const
         "  \"duplicate_mismatches\": %llu,\n"
         "  \"journal_replayed_commits\": %llu,\n"
         "  \"journal_dropped_entries\": %llu,\n"
+        "  \"journal_compactions\": %llu,\n"
+        "  \"journal_bad_reads\": %llu,\n"
         "  \"bad_frames\": %llu,\n"
         "  \"transport_timeouts\": %llu,\n",
         static_cast<unsigned long long>(s.jobsSubmitted),
@@ -1607,6 +1778,8 @@ Broker::statsJson() const
         static_cast<unsigned long long>(s.duplicateMismatches),
         static_cast<unsigned long long>(s.journalReplayedCommits),
         static_cast<unsigned long long>(s.journalDroppedEntries),
+        static_cast<unsigned long long>(s.journalCompactions),
+        static_cast<unsigned long long>(s.journalBadReads),
         static_cast<unsigned long long>(s.badFrames),
         static_cast<unsigned long long>(s.transportTimeouts));
     out += buf;

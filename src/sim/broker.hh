@@ -34,8 +34,9 @@
  * special handshake):
  *
  *   register            -> registered {heartbeat_seconds, poll_seconds}
- *   pull {worker}       -> assign {lease, job, shard, nshards, args[]}
- *                        | idle {poll_seconds}
+ *   pull {worker, poll_seconds}
+ *                       -> assign {lease, job, shard, nshards, args[]}
+ *                        | idle
  *   heartbeat {worker, lease, progress}
  *                       -> ok {cancel}   (lease 0 = liveness only)
  *   commit {worker, lease, job, shard, status, error, payload}
@@ -44,10 +45,31 @@
  * Client-facing types:
  *
  *   submit {args[], nshards, fingerprint}
- *                       -> job {job, total, resumed}
- *   poll {job}          -> status {total, done[], failed[], complete,
- *                                  job_failed}
+ *                       -> job {job, total, resumed, poll_seconds,
+ *                               dead_seconds}
+ *   poll {job, progress, poll_seconds}
+ *                       -> status {total, done[], failed[], complete,
+ *                                  job_failed, progress}
  *   fetch {job, shard}  -> result {shard, payload} | pending | error
+ *
+ * ## Long-poll
+ *
+ * A `pull` or `poll` carrying `poll_seconds` > 0 parks on the broker
+ * until its answer would change, for at most min(poll_seconds, the
+ * broker's cap). The cap is BrokerConfig::pollSec, held to half the
+ * dead-worker deadline so a parked worker never looks dead, and is
+ * announced as `poll_seconds` in `registered` and `job`. A parked pull
+ * wakes when the queue or a job changes, and when the housekeeping
+ * tick finds a lease overdue for a queue-empty steal. A poll's
+ * `progress` echoes the job's transition count from the last `status`
+ * (commits, failures and requeues so far); the poll parks while that
+ * count has not moved and answers at once when it is stale. Without
+ * `poll_seconds` both answer at once.
+ *
+ * A drive whose parked poll loses its connection (a broker SIGKILLed
+ * and restarted with resume) re-polls the same job, with `progress`
+ * 0, for the `dead_seconds` its `job` response announced (the broker's
+ * dead-worker deadline), and only then falls back to fork/exec.
  *
  * ## Leases and stealing
  *
@@ -70,13 +92,26 @@
  * job done) to `<state>/journal.jsonl`: one line per entry,
  * `{"qramsim_broker_journal":1,"seq":N,"hash":"<16hex>","body":"…"}`
  * where hash = fnv1a64("<seq>:" + body). Appends are O_APPEND +
- * fsync (knob: atomicFileFsync), rotation is a compacted snapshot
- * through atomicWriteFile. The loader is hardened like the PR 8
- * manifest: a torn FINAL line (the SIGKILL-mid-write shape) is
- * dropped and counted; any bad line before the tail is tampering and
- * rejects the whole journal. Replayed commit payloads are
- * re-validated against the job's plan before being trusted; invalid
- * ones are dropped and recomputed.
+ * fsync (knob: atomicFileFsync). Compaction rewrites the file as a
+ * snapshot of live state, streamed line by line through
+ * atomicWriteWith, and runs only once the file outgrows
+ * max(rotateBytes, 2 x the last snapshot), so its cost stays
+ * proportional to the appends between two snapshots. The loader is
+ * hardened like the orchestrator's manifest loader: a torn FINAL line
+ * (the SIGKILL-mid-write shape) is dropped and counted; any bad line
+ * before the tail is tampering and rejects the whole journal.
+ * Replayed commit payloads are re-validated against the job's plan
+ * before being trusted; invalid ones are dropped and recomputed.
+ *
+ * A settled shard's payload lives only in the journal: the broker
+ * keeps the offset and length of its commit line and reads it back
+ * with pread for fetch, the duplicate cross-check and compaction. A
+ * read-back line is served only if it parses, its hash matches and it
+ * is that job's and shard's commit; otherwise the shard is requeued
+ * and recomputed (Stats::journalBadReads), the same rule replay
+ * applies to a payload it cannot vouch for. A payload whose append
+ * failed or fell short stays in memory, and so does every payload
+ * of a broker without a state dir.
  *
  * ## Faults
  *
@@ -93,6 +128,7 @@
 #define QRAMSIM_SIM_BROKER_HH
 
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -129,7 +165,12 @@ struct Msg
     std::uint64_t progress = 0;
     std::uint64_t cancel = 0, accepted = 0, duplicate = 0;
     std::uint64_t resumed = 0, complete = 0, jobFailed = 0;
-    double heartbeatSec = 0.0, pollSec = 0.0;
+    double heartbeatSec = 0.0;
+    /** Requests: the longest the caller lets a pull or poll park (0 =
+     *  answer at once). `registered` and `job`: the broker's cap. */
+    double pollSec = 0.0;
+    /** `job`: how long a client keeps re-polling a broker it lost. */
+    double deadSec = 0.0;
     std::vector<std::string> args;
     std::vector<double> done, failed;
 };
@@ -204,10 +245,12 @@ struct BrokerConfig
      *  parked jobs stop dispatching until the client returns. */
     double parkAfterSec = 60.0;
 
-    /** Idle-worker poll interval announced in `idle` responses. */
-    double pollSec = 0.05;
+    /** Longest a pull or poll carrying poll_seconds parks (also held
+     *  to half of the dead-worker deadline). */
+    double pollSec = 0.5;
 
-    /** Compact the journal when it outgrows this. */
+    /** Compact the journal once it outgrows max(this, 2 x the last
+     *  snapshot). */
     std::size_t rotateBytes = std::size_t(4) << 20;
 
     std::uint32_t maxFrameBytes = srv::kDefaultMaxFrameBytes;
@@ -257,6 +300,10 @@ class Broker
         std::uint64_t duplicateMismatches = 0;
         std::uint64_t journalReplayedCommits = 0;
         std::uint64_t journalDroppedEntries = 0;
+        std::uint64_t journalCompactions = 0; ///< start-up one included
+        /** Settled payloads whose journal line failed the read-back
+         *  check; each shard was requeued. */
+        std::uint64_t journalBadReads = 0;
         std::uint64_t badFrames = 0;
         std::uint64_t transportTimeouts = 0; ///< idle connections cut
         double stealLatencySecTotal = 0.0; ///< queue-return -> pickup
@@ -287,6 +334,8 @@ class Broker
 
     /** workerDeadSec with its default applied. */
     double deadSec() const;
+    /** The longest a pull or poll may park. */
+    double parkCapSec() const;
     void acceptLoop();
     void serveConnection(Conn &conn);
     void housekeepingLoop();
@@ -304,6 +353,10 @@ class Broker
     Worker &touchWorkerLocked(const std::string &name,
                               Clock::time_point now);
     double leaseDurationLocked() const;
+    /** The lease an idle @p worker may speculatively duplicate, or
+     *  null. */
+    const Lease *stealVictimLocked(const std::string &worker,
+                                   Clock::time_point now) const;
     void returnShardLocked(const std::string &jobId, std::size_t shard,
                            Clock::time_point now);
     void dropLeaseLocked(std::uint64_t leaseId);
@@ -312,25 +365,37 @@ class Broker
                             Clock::time_point now);
     void failShardLocked(Job &job, std::size_t shard,
                          const std::string &why);
+    /** A settled shard's payload: from memory, or read back from its
+     *  journal line. A line that fails the check requeues the shard
+     *  and returns false. */
+    bool settledPayloadLocked(Job &job, std::size_t shard,
+                              std::string &out);
     bool replayLocked(const std::string &text, std::string *err);
+    /** Append one entry. When it is @p committed's commit line and it
+     *  lands whole, the shard keeps only the line's place. */
     void appendEntryLocked(const std::string &body,
                            std::size_t faultShotBegin,
-                           std::size_t faultShotEnd);
+                           std::size_t faultShotEnd,
+                           ShardState *committed = nullptr);
     void compactLocked(std::string *err = nullptr);
 
     BrokerConfig cfg_;
     std::vector<fault::Spec> faults_; ///< journal-truncate only
 
     mutable std::mutex mu_;
+    /** Parked pulls and polls wait here for a state change. */
+    std::condition_variable changed_;
+    bool stopping_ = false; ///< set by stop(): nothing parks any more
     std::map<std::string, Job> jobs_; ///< ordered: deterministic scans
     std::map<std::string, Worker> workers_;
     std::map<std::uint64_t, Lease> leases_;
     std::deque<QueueEntry> queue_;
-    std::vector<double> doneDurations_; ///< lease-scaling history
+    std::vector<double> doneDurations_; ///< sorted lease-scaling history
     std::uint64_t nextLease_ = 1;
     std::uint64_t nextSeq_ = 1;
-    std::size_t journalBytes_ = 0;
-    int journalFd_ = -1;
+    std::uint64_t journalBytes_ = 0;  ///< bytes in the journal file
+    std::uint64_t snapshotBytes_ = 0; ///< size of the last snapshot
+    int journalFd_ = -1; ///< O_RDWR | O_APPEND: appends and read-backs
     Stats stats_;
 
     int listenFd_ = -1;

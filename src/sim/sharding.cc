@@ -690,13 +690,15 @@ PartialEstimate::resultJson() const
     std::string s;
     s += "{\n  \"qramsim_result\": 1,\n  \"workload\": ";
     appendEscaped(s, workload);
-    char buf[160];
+    char buf[192];
     std::snprintf(buf, sizeof buf,
                   ",\n  \"seed\": %llu,\n  \"stream\": \"%s\",\n"
+                  "  \"sampler\": %u,\n"
                   "  \"shots\": %zu,\n  \"num_points\": %zu,\n"
                   "  \"points\": [\n",
                   static_cast<unsigned long long>(seed),
-                  shotStreamName(stream), totalShots, numPoints);
+                  shotStreamName(stream), sampler, totalShots,
+                  numPoints);
     s += buf;
     for (std::size_t j = 0; j < results.size(); ++j) {
         s += "    {";

@@ -84,9 +84,10 @@ enum class ShotStream : std::uint8_t
  * realizations (NoiseModel's event walk, sim/noise.cc). Version 1
  * drew one uniform per exposure site; version 2 walks from event to
  * event with exponential skips. The same seed gives other shots under
- * another version, so partials, checkpoints, result-cache keys and
- * broker job identities carry it: work drawn by one version never
- * answers a request for, or merges with, another's.
+ * another version, so partials, checkpoints, result-cache keys,
+ * broker job identities and result.json carry it: work drawn by one
+ * version never answers a request for, or merges with, another's,
+ * and two results drawn by different versions never share a header.
  */
 constexpr unsigned kSamplerVersion = 2;
 
@@ -382,7 +383,8 @@ struct PartialEstimate
 
     /**
      * The merged FidelityResult(s) as a deterministic JSON object —
-     * derived only from the plan metadata and the rows, so any
+     * derived only from the plan metadata (sampler version included)
+     * and the rows, so any
      * partition of the same run produces byte-identical output (the
      * CI sharded smoke leg diffs exactly this). Panics unless
      * complete (see finalize).

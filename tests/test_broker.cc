@@ -7,10 +7,13 @@
  * machine (submit/pull/commit/poll/fetch, duplicate cross-checks,
  * invalid-commit requeue, permanent-failure settling, dead-worker
  * and frozen-progress lease recovery, job parking, journal replay
- * across restarts), the socket plumbing (finished connection threads
- * are joined, silent connections are cut at the idle deadline), and
- * the kill/steal/resume matrix end to end — every disturbed run
- * byte-identical to the undisturbed fork/exec reference.
+ * across restarts, journal-backed payloads and geometric compaction),
+ * the long-poll waits (parked pulls and polls wake on the change they
+ * wait for, steal and stop() reach them), the socket plumbing
+ * (finished connection threads are joined, silent connections are
+ * cut at the idle deadline), and the kill/steal/resume matrix end to
+ * end — every disturbed run byte-identical to the undisturbed
+ * fork/exec reference.
  */
 
 #include <gtest/gtest.h>
@@ -179,6 +182,7 @@ TEST(BrokerMsg, EveryFieldRoundTrips)
     m.jobFailed = 1;
     m.heartbeatSec = 0.25;
     m.pollSec = 0.05;
+    m.deadSec = 3.5;
     m.args = {"--arch", "bb", "--shard", "3/8"};
     m.done = {0.0, 2.0, 5.0};
     m.failed = {1.0};
@@ -205,6 +209,7 @@ TEST(BrokerMsg, EveryFieldRoundTrips)
     EXPECT_EQ(m.jobFailed, back.jobFailed);
     EXPECT_EQ(m.heartbeatSec, back.heartbeatSec);
     EXPECT_EQ(m.pollSec, back.pollSec);
+    EXPECT_EQ(m.deadSec, back.deadSec);
     EXPECT_EQ(m.args, back.args);
     EXPECT_EQ(m.done, back.done);
     EXPECT_EQ(m.failed, back.failed);
@@ -880,7 +885,7 @@ TEST(Broker, JournalCompactionPreservesStateAndStaysReplayable)
     const std::string dir = tempDir("brk_compact");
     brk::BrokerConfig cfg = quickConfig();
     cfg.stateDir = dir;
-    cfg.rotateBytes = 1; // force a compaction after every append
+    cfg.rotateBytes = 1; // compact whenever the journal doubles
     brk::Broker a(cfg);
     ASSERT_TRUE(a.start());
     ASSERT_EQ("job", ask(a, submitMsg("fp-compact", 2)).type);
@@ -889,6 +894,8 @@ TEST(Broker, JournalCompactionPreservesStateAndStaysReplayable)
         ASSERT_EQ("assign", assign.type);
         ASSERT_EQ(1u, computeAndCommit(a, assign, "w1").accepted);
     }
+    // The start-up snapshot plus at least one rotation.
+    EXPECT_GE(a.stats().journalCompactions, 2u);
     a.stop();
     // The rotated journal must replay to the full finished job.
     brk::BrokerConfig rcfg = quickConfig();
@@ -905,6 +912,319 @@ TEST(Broker, JournalCompactionPreservesStateAndStaysReplayable)
     poll.job = job.job;
     EXPECT_EQ(1u, ask(b, poll).complete);
     b.stop();
+}
+
+TEST(Broker, JobWhoseAdmissionCompactsTheJournalSurvivesARestart)
+{
+    // The admission line itself sets off the compaction: the snapshot
+    // must already hold the new job, or a restart forgets it.
+    const std::string dir = tempDir("brk_admit_compact");
+    brk::BrokerConfig cfg = quickConfig();
+    cfg.stateDir = dir;
+    cfg.rotateBytes = 1;
+    {
+        brk::Broker a(cfg);
+        ASSERT_TRUE(a.start());
+        ASSERT_EQ("job", ask(a, submitMsg("fp-admit", 2)).type);
+        EXPECT_EQ(2u, a.stats().journalCompactions);
+        a.stop();
+    }
+    cfg.resume = true;
+    brk::Broker b(cfg);
+    std::string err;
+    ASSERT_TRUE(b.start(&err)) << err;
+    const brk::Msg again = ask(b, submitMsg("fp-admit", 2));
+    ASSERT_EQ("job", again.type);
+    EXPECT_EQ(1u, again.resumed) << "the restart lost the admission";
+    EXPECT_EQ("assign", ask(b, pullMsg("w1")).type);
+    b.stop();
+}
+
+brk::Msg
+submitSeed(const char *fingerprint, int seed)
+{
+    brk::Msg m = submitMsg(fingerprint, 2);
+    for (std::size_t i = 0; i + 1 < m.args.size(); ++i)
+        if (m.args[i] == "--seed")
+            m.args[i + 1] = std::to_string(seed);
+    return m;
+}
+
+brk::Msg
+fetchMsg(const std::string &job, std::uint64_t shard)
+{
+    brk::Msg m;
+    m.type = "fetch";
+    m.job = job;
+    m.shard = shard;
+    return m;
+}
+
+TEST(Broker, PayloadFetchedAfterSeveralCompactionsIsByteIdentical)
+{
+    const std::string dir = tempDir("brk_fetch_compact");
+    brk::BrokerConfig cfg = quickConfig();
+    cfg.stateDir = dir;
+    cfg.rotateBytes = 1;
+    brk::Broker b(cfg);
+    ASSERT_TRUE(b.start());
+    struct Committed
+    {
+        std::string job;
+        std::uint64_t shard;
+        std::string payload;
+    };
+    std::vector<Committed> committed;
+    for (int j = 0; j < 3; ++j) {
+        const std::string fp = "fp-fetch-" + std::to_string(j);
+        ASSERT_EQ("job", ask(b, submitSeed(fp.c_str(), 40 + j)).type);
+        for (int i = 0; i < 2; ++i) {
+            const brk::Msg assign = ask(b, pullMsg("w1"));
+            ASSERT_EQ("assign", assign.type);
+            const srv::ShardResponse r =
+                computeServer().handle(assign.args);
+            ASSERT_EQ(0, r.status) << r.error;
+            brk::Msg c;
+            c.type = "commit";
+            c.worker = "w1";
+            c.lease = assign.lease;
+            c.job = assign.job;
+            c.shard = assign.shard;
+            c.payload = r.payload;
+            ASSERT_EQ(1u, ask(b, c).accepted);
+            committed.push_back({assign.job, assign.shard, r.payload});
+        }
+    }
+    // Start-up plus at least three rotations moved every early payload.
+    EXPECT_GE(b.stats().journalCompactions, 4u);
+    for (const Committed &c : committed) {
+        const brk::Msg res = ask(b, fetchMsg(c.job, c.shard));
+        ASSERT_EQ("result", res.type);
+        EXPECT_EQ(c.payload, res.payload);
+    }
+    EXPECT_EQ(0u, b.stats().journalBadReads);
+    b.stop();
+}
+
+TEST(Broker, OverwrittenCommitLineIsRequeuedNotServed)
+{
+    const std::string dir = tempDir("brk_bad_line");
+    brk::BrokerConfig cfg = quickConfig();
+    cfg.stateDir = dir;
+    brk::Broker b(cfg);
+    ASSERT_TRUE(b.start());
+    const brk::Msg job = ask(b, submitMsg("fp-bad-line", 1));
+    ASSERT_EQ("job", job.type);
+    const brk::Msg assign = ask(b, pullMsg("w1"));
+    ASSERT_EQ("assign", assign.type);
+    const srv::ShardResponse r = computeServer().handle(assign.args);
+    ASSERT_EQ(0, r.status) << r.error;
+    brk::Msg c;
+    c.type = "commit";
+    c.worker = "w1";
+    c.lease = assign.lease;
+    c.job = assign.job;
+    c.shard = assign.shard;
+    c.payload = r.payload;
+    ASSERT_EQ(1u, ask(b, c).accepted);
+
+    // Change one digit of the committed payload on disk, in place and
+    // at the same length: the line still parses, its hash does not.
+    const std::string path = brk::Broker::journalPath(dir);
+    std::string text = readFileStr(path);
+    const std::size_t line = text.find("\\\"commit\\\"");
+    ASSERT_NE(std::string::npos, line) << text;
+    const std::size_t rows = text.find("shot_begin", line);
+    ASSERT_NE(std::string::npos, rows);
+    const std::size_t digit =
+        text.find_first_of("0123456789", rows);
+    ASSERT_NE(std::string::npos, digit);
+    text[digit] = text[digit] == '9' ? '8' : text[digit] + 1;
+    ASSERT_TRUE(writeFileStr(path, text));
+
+    // Neither version is served; the shard goes back to the queue.
+    EXPECT_EQ("pending", ask(b, fetchMsg(job.job, 0)).type);
+    EXPECT_EQ(1u, b.stats().journalBadReads);
+    brk::Msg poll;
+    poll.type = "poll";
+    poll.job = job.job;
+    EXPECT_EQ(0u, ask(b, poll).complete);
+    const brk::Msg again = ask(b, pullMsg("w2"));
+    ASSERT_EQ("assign", again.type);
+    EXPECT_EQ(assign.shard, again.shard);
+    ASSERT_EQ(1u, computeAndCommit(b, again, "w2").accepted);
+    const brk::Msg res = ask(b, fetchMsg(job.job, 0));
+    ASSERT_EQ("result", res.type);
+    EXPECT_EQ(r.payload, res.payload);
+    EXPECT_EQ(1u, ask(b, poll).complete);
+    b.stop();
+}
+
+// --- Long-poll waits ---------------------------------------------------
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/** A broker whose parks can last 10 s, so "woken promptly" and "ran
+ *  out its cap" are far apart. */
+brk::BrokerConfig
+waitConfig()
+{
+    brk::BrokerConfig cfg = quickConfig();
+    cfg.workerDeadSec = 30.0;
+    cfg.pollSec = 10.0;
+    return cfg;
+}
+
+constexpr double kPark = 10.0;
+
+TEST(BrokerWait, ParkedPullWakesWhenAJobIsSubmitted)
+{
+    brk::Broker b(waitConfig());
+    const auto t0 = std::chrono::steady_clock::now();
+    brk::Msg got;
+    std::thread parked([&] {
+        brk::Msg pull = pullMsg("w1");
+        pull.pollSec = kPark;
+        got = ask(b, pull);
+    });
+    sleepMs(100);
+    ASSERT_EQ("job", ask(b, submitMsg("fp-wake-pull", 1)).type);
+    parked.join();
+    const double waited = secondsSince(t0);
+    EXPECT_EQ("assign", got.type)
+        << "the pull must park on the empty queue, not answer idle";
+    EXPECT_LT(waited, 0.2 * kPark) << "woke after " << waited << " s";
+    b.stop();
+}
+
+TEST(BrokerWait, ParkedPollWakesOnCommitAndStaleProgressAnswersAtOnce)
+{
+    brk::Broker b(waitConfig());
+    const brk::Msg job = ask(b, submitMsg("fp-wake-poll", 2));
+    ASSERT_EQ("job", job.type);
+    EXPECT_GT(job.pollSec, 0.0);
+    EXPECT_GT(job.deadSec, 0.0);
+    const brk::Msg assign = ask(b, pullMsg("w1"));
+    ASSERT_EQ("assign", assign.type);
+
+    brk::Msg poll;
+    poll.type = "poll";
+    poll.job = job.job;
+    poll.progress = 0; // nothing settled yet: park
+    poll.pollSec = kPark;
+    const auto t0 = std::chrono::steady_clock::now();
+    brk::Msg st;
+    std::thread parked([&] { st = ask(b, poll); });
+    sleepMs(100);
+    ASSERT_EQ(1u, computeAndCommit(b, assign, "w1").accepted);
+    parked.join();
+    const double waited = secondsSince(t0);
+    ASSERT_EQ("status", st.type);
+    EXPECT_EQ(1u, st.done.size())
+        << "the poll must park until the commit lands";
+    EXPECT_EQ(1u, st.progress);
+    EXPECT_LT(waited, 0.2 * kPark) << "woke after " << waited << " s";
+
+    // A stale progress value (the client saw less) answers at once.
+    const auto t1 = std::chrono::steady_clock::now();
+    const brk::Msg fresh = ask(b, poll);
+    EXPECT_LT(secondsSince(t1), 0.1 * kPark);
+    EXPECT_EQ(1u, fresh.done.size());
+    EXPECT_EQ(1u, fresh.progress);
+    b.stop();
+}
+
+TEST(BrokerWait, ZeroPollSecondsAnswersAtOnce)
+{
+    brk::Broker b(waitConfig());
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ("idle", ask(b, pullMsg("w1")).type);
+    const brk::Msg job = ask(b, submitMsg("fp-no-park", 1));
+    ASSERT_EQ("job", job.type);
+    const brk::Msg assign = ask(b, pullMsg("w1"));
+    ASSERT_EQ("assign", assign.type);
+    brk::Msg poll;
+    poll.type = "poll";
+    poll.job = job.job;
+    const brk::Msg st = ask(b, poll); // progress 0 = current, no park
+    EXPECT_EQ("status", st.type);
+    EXPECT_EQ(0u, st.done.size());
+    EXPECT_LT(secondsSince(t0), 0.1 * kPark);
+    b.stop();
+}
+
+TEST(BrokerWait, ParkedIdlePullStillStealsAnOverdueLease)
+{
+    brk::BrokerConfig cfg = waitConfig();
+    // Steal after 20x the median shard time; leases last 10 s, so
+    // only the housekeeping tick can hand the stuck shard over.
+    cfg.heartbeatSec = 5.0;
+    cfg.stragglerFactor = 20.0;
+    cfg.stragglerMinDone = 1;
+    brk::Broker b(cfg);
+    ASSERT_TRUE(b.start());
+    ASSERT_EQ("job", ask(b, submitMsg("fp-park-steal", 2)).type);
+    const brk::Msg a = ask(b, pullMsg("w1"));
+    ASSERT_EQ("assign", a.type);
+    ASSERT_EQ(1u, computeAndCommit(b, a, "w1").accepted);
+    const brk::Msg stuck = ask(b, pullMsg("w2"));
+    ASSERT_EQ("assign", stuck.type);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    brk::Msg pull = pullMsg("w1");
+    pull.pollSec = kPark;
+    const brk::Msg spec = ask(b, pull);
+    const double waited = secondsSince(t0);
+    ASSERT_EQ("assign", spec.type)
+        << "the parked pull must be woken for the steal";
+    EXPECT_EQ(stuck.shard, spec.shard);
+    EXPECT_EQ(1u, b.stats().speculativeAssignments);
+    EXPECT_LT(waited, 0.5 * kPark) << "stole after " << waited << " s";
+    ASSERT_EQ(1u, computeAndCommit(b, spec, "w1").accepted);
+    EXPECT_EQ(1u, computeAndCommit(b, stuck, "w2").duplicate);
+    EXPECT_EQ(0u, b.stats().duplicateMismatches);
+    b.stop();
+}
+
+TEST(BrokerWait, StopReleasesParkedRequests)
+{
+    brk::Broker b(waitConfig());
+    ASSERT_TRUE(b.start());
+    const brk::Msg job = ask(b, submitMsg("fp-stop", 1));
+    ASSERT_EQ("job", job.type);
+    ASSERT_EQ("assign", ask(b, pullMsg("w1")).type); // queue now empty
+
+    const auto t0 = std::chrono::steady_clock::now();
+    double pullDone = 0.0, pollDone = 0.0;
+    std::thread pullThread([&] {
+        brk::Msg pull = pullMsg("w2");
+        pull.pollSec = kPark;
+        EXPECT_EQ("idle", ask(b, pull).type);
+        pullDone = secondsSince(t0);
+    });
+    std::thread pollThread([&] {
+        brk::Msg poll;
+        poll.type = "poll";
+        poll.job = job.job;
+        poll.pollSec = kPark;
+        EXPECT_EQ("status", ask(b, poll).type);
+        pollDone = secondsSince(t0);
+    });
+    sleepMs(300);
+    b.stop();
+    pullThread.join();
+    pollThread.join();
+    // Both were parked until stop(), and stop() let them go at once.
+    EXPECT_GE(pullDone, 0.25);
+    EXPECT_GE(pollDone, 0.25);
+    EXPECT_LT(pullDone, 0.2 * kPark);
+    EXPECT_LT(pollDone, 0.2 * kPark);
 }
 
 // --- The socket plumbing -----------------------------------------------
@@ -1301,6 +1621,144 @@ TEST(BrokerCli, JournalTruncateFaultTearsKillsAndRecovers)
     EXPECT_NE(std::string::npos,
               stats.find("\"duplicate_mismatches\": 0"))
         << stats;
+}
+
+/** Block until the broker under @p stateDir has journaled a job. */
+bool
+waitJournaled(const std::string &stateDir)
+{
+    for (int i = 0; i < 250; ++i) {
+        if (!readFileStr(brk::Broker::journalPath(stateDir)).empty())
+            return true;
+        sleepMs(20);
+    }
+    return false;
+}
+
+TEST(BrokerCli, ParkedDriveRidesOutABrokerRestartInsideTheWindow)
+{
+    const std::string dir = tempDir("brkcli_ride");
+    const std::string drive =
+        std::string(QRAMSIM_DRIVE_BIN) +
+        " --worker-bin " QRAMSIM_SHARD_BIN " --shards 4";
+    ASSERT_EQ(0, shCode(drive + " --job " + dir + "/ref" + kWorkload +
+                        " > /dev/null 2>&1"));
+
+    // Default heartbeat: the drive re-polls a lost broker for 3 s.
+    const std::string sock = dir + "/broker.sock";
+    const std::string bcmd = std::string(QRAMSIM_BROKER_BIN) +
+                             " --socket " + sock + " --state " + dir +
+                             "/state";
+    startBg(bcmd, dir + "/broker.pid", dir + "/broker.log");
+    ASSERT_TRUE(waitSocket(sock));
+    // No worker yet: the job is journaled and the drive parks in poll.
+    startBg(drive + " --job " + dir + "/ride --broker " + sock +
+                kWorkload,
+            dir + "/drive.pid", dir + "/drive.log");
+    ASSERT_TRUE(waitJournaled(dir + "/state"));
+    sleepMs(200);
+    killPid(dir + "/broker.pid", "-KILL");
+    sleepMs(300); // an outage no poll can slip past
+    startBg(bcmd + " --resume --stats-out " + dir + "/stats.json",
+            dir + "/broker2.pid", dir + "/broker2.log");
+    ASSERT_TRUE(waitSocket(sock));
+    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                " --name w1",
+            dir + "/w1.pid", dir + "/w1.log");
+    ASSERT_EQ(0, waitPidFile(dir, "drive.pid"));
+    killPid(dir + "/w1.pid");
+    killPid(dir + "/broker2.pid");
+
+    EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
+              readFileStr(dir + "/ride/result.json"));
+    const std::string report = readFileStr(dir + "/ride/report.json");
+    EXPECT_NE(std::string::npos, report.find("\"broker_shards\": 4"))
+        << "the restarted broker must serve every shard: " << report;
+    EXPECT_NE(std::string::npos,
+              report.find("\"broker_transport_failures\": 0"))
+        << report;
+    EXPECT_NE(std::string::npos,
+              waitStats(dir).find("\"commits_accepted\": 4"));
+}
+
+TEST(BrokerCli, BrokerGoneForGoodFallsBackAfterTheWindow)
+{
+    const std::string dir = tempDir("brkcli_gone");
+    const std::string drive =
+        std::string(QRAMSIM_DRIVE_BIN) +
+        " --worker-bin " QRAMSIM_SHARD_BIN " --shards 4";
+    ASSERT_EQ(0, shCode(drive + " --job " + dir + "/ref" + kWorkload +
+                        " > /dev/null 2>&1"));
+
+    // --heartbeat 0.2: a 0.6 s window before the fork/exec fallback.
+    const std::string sock = dir + "/broker.sock";
+    startBg(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
+                " --state " + dir + "/state --heartbeat 0.2",
+            dir + "/broker.pid", dir + "/broker.log");
+    ASSERT_TRUE(waitSocket(sock));
+    startBg(drive + " --job " + dir + "/gone --broker " + sock +
+                kWorkload,
+            dir + "/drive.pid", dir + "/drive.log");
+    ASSERT_TRUE(waitJournaled(dir + "/state"));
+    sleepMs(200);
+    killPid(dir + "/broker.pid", "-KILL");
+    ASSERT_EQ(0, waitPidFile(dir, "drive.pid"));
+
+    EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
+              readFileStr(dir + "/gone/result.json"));
+    const std::string report = readFileStr(dir + "/gone/report.json");
+    EXPECT_NE(std::string::npos, report.find("\"broker_shards\": 0"))
+        << report;
+    EXPECT_EQ(std::string::npos,
+              report.find("\"broker_transport_failures\": 0"))
+        << "the fallback must be visible in the report: " << report;
+}
+
+TEST(BrokerCli, OneWorkerDrainsManyShardsWithoutPerShardWaits)
+{
+    // 64 one-shot shards through one worker. Each costs well under a
+    // millisecond of compute; a worker that waited out a heartbeat
+    // sleep slice (25-50 ms) after every commit, or re-pulled on a
+    // 50 ms tick, could not finish inside the bound.
+    const std::string dir = tempDir("brkcli_many");
+    const char many[] = " --arch bb --m 4 --noise gate-depol --eps 2e-3 "
+                        "--shots 64 --seed 5 --shards 64";
+    const std::string drive = std::string(QRAMSIM_DRIVE_BIN) +
+                              " --worker-bin " QRAMSIM_SHARD_BIN;
+    ASSERT_EQ(0, shCode(drive + " --workers 4 --job " + dir + "/ref" +
+                        many + " > /dev/null 2>&1"));
+
+    const std::string sock = dir + "/broker.sock";
+    startBg(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock,
+            dir + "/broker.pid", dir + "/broker.log");
+    ASSERT_TRUE(waitSocket(sock));
+    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                " --name w1",
+            dir + "/w1.pid", dir + "/w1.log");
+    bool pulling = false;
+    for (int i = 0; i < 250 && !pulling; ++i) {
+        pulling = readFileStr(dir + "/w1.log").find("pulling") !=
+                  std::string::npos;
+        if (!pulling)
+            sleepMs(20);
+    }
+    ASSERT_TRUE(pulling);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const int rc = shCode(drive + " --job " + dir + "/many --broker " +
+                          sock + many + " > /dev/null 2>&1");
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    killPid(dir + "/w1.pid");
+    killPid(dir + "/broker.pid");
+    ASSERT_EQ(0, rc);
+    EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
+              readFileStr(dir + "/many/result.json"));
+    EXPECT_NE(std::string::npos,
+              readFileStr(dir + "/many/report.json")
+                  .find("\"broker_shards\": 64"));
+    EXPECT_LT(wall, 1.2) << "64 brokered shards took " << wall << " s";
 }
 
 #endif // tool binaries available

@@ -339,6 +339,28 @@ TEST(Sharding, ResultJsonByteIdenticalAcrossPartitions)
     }
 }
 
+TEST(Sharding, ResultJsonNamesTheSamplerVersion)
+{
+    // Two results that differ only in the sampler that drew them must
+    // not share their bytes: the same seed gives other shots under
+    // another sampler, so a reader has to be able to tell them apart.
+    Rng rng(1001);
+    Memory mem = Memory::random(3, rng);
+    QueryCircuit qc = BucketBrigadeQram(3).build(mem);
+    FidelityEstimator est(qc.circuit, qc.addressQubits, qc.busQubit,
+                          AddressSuperposition::uniform(3));
+    GateNoise noise(PauliRates::depolarizing(2e-3));
+    const PartialEstimate merged =
+        runAndMerge(est, noise, SweepPlan::partition(16, 2, 3));
+    PartialEstimate older = merged;
+    older.sampler = kSamplerVersion - 1;
+    EXPECT_NE(merged.resultJson(), older.resultJson());
+    EXPECT_NE(merged.resultJson().find(
+                  "\"sampler\": " + std::to_string(kSamplerVersion)),
+              std::string::npos)
+        << merged.resultJson();
+}
+
 // --- Sweep samplers ----------------------------------------------------
 
 void

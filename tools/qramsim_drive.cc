@@ -26,11 +26,17 @@
  *                     library call cannot be killed)
  *   --broker PATH     submit the job to a qramsim_broker on the Unix
  *                     socket PATH and stream finished shards into
- *                     the job directory as checkpoints; whatever the
- *                     broker does not deliver (it dies, stalls, or
- *                     parks) is recomputed by fork/exec workers (so
- *                     --worker-bin/QRAMSIM_SHARD is still required),
- *                     and the result is byte-identical either way.
+ *                     the job directory as checkpoints; the drive
+ *                     long-polls the job, so a commit reaches it at
+ *                     once. A lost connection (the broker restarting
+ *                     from its journal) is re-polled for the
+ *                     broker's announced dead-worker deadline (3 s
+ *                     by default) before the drive gives up on it;
+ *                     whatever the broker does not deliver (it dies,
+ *                     stalls, or parks) is recomputed by fork/exec
+ *                     workers (so --worker-bin/QRAMSIM_SHARD is still
+ *                     required), and the result is byte-identical
+ *                     either way.
  *                     Ignored with a warning when the workload pins
  *                     --tier (broker workers reject process-global
  *                     pins). A dead drive can rerun the same command
@@ -103,9 +109,10 @@ usage()
 /**
  * The broker phase: submit the job, stream finished shards into the
  * job directory as checkpoints, and bail out (latching a transport
- * failure in @p cfg) the moment the broker misbehaves — the
- * orchestrator behind it recomputes whatever is missing, so the
- * broker can only ever make the run cheaper, never wrong.
+ * failure in @p cfg) the moment the broker misbehaves or stays
+ * unreachable past its announced deadline — the orchestrator behind
+ * it recomputes whatever is missing, so the broker can only ever
+ * make the run cheaper, never wrong.
  */
 void
 runBrokerPhase(OrchestratorConfig &cfg, const tool::RunOptions &opt,
@@ -169,20 +176,32 @@ runBrokerPhase(OrchestratorConfig &cfg, const tool::RunOptions &opt,
         return;
     }
 
+    using Clock = std::chrono::steady_clock;
+    auto since = [](Clock::time_point t) {
+        return std::chrono::duration<double>(Clock::now() - t).count();
+    };
     std::vector<bool> fetched(cfg.plan.shards.size(), false);
-    auto lastProgress = std::chrono::steady_clock::now();
+    auto lastProgress = Clock::now();
+    std::uint64_t seen = 0; // the job's transition count last seen
+    // A broker SIGKILLed and restarted from its journal drops every
+    // parked poll: the drive reconnects and re-polls the same job for
+    // the broker's dead-worker deadline before it falls back.
+    bool lost = false;
+    Clock::time_point lostAt{};
     for (;;) {
         brk::Msg poll, st;
         poll.type = "poll";
         poll.job = jobResp.job;
-        if (!brk::roundTrip(brokerPath, poll, st, &err) ||
-            st.type != "status") {
-            transportFail(st.type.empty() ? err : st.error);
+        poll.progress = seen;
+        poll.pollSec = jobResp.pollSec; // park until a shard settles
+        bool reached = brk::roundTrip(brokerPath, poll, st, &err);
+        if (reached && st.type != "status") {
+            transportFail(st.error);
             break;
         }
-        bool progress = false, transportDown = false;
-        for (double d : st.done) {
-            const std::size_t idx = static_cast<std::size_t>(d);
+        bool progress = false;
+        for (std::size_t i = 0; reached && i < st.done.size(); ++i) {
+            const std::size_t idx = static_cast<std::size_t>(st.done[i]);
             if (idx >= fetched.size() || fetched[idx])
                 continue;
             brk::Msg get, res;
@@ -190,8 +209,7 @@ runBrokerPhase(OrchestratorConfig &cfg, const tool::RunOptions &opt,
             get.job = jobResp.job;
             get.shard = idx;
             if (!brk::roundTrip(brokerPath, get, res, &err)) {
-                transportFail(err);
-                transportDown = true;
+                reached = false;
                 break;
             }
             if (res.type != "result")
@@ -207,11 +225,23 @@ runBrokerPhase(OrchestratorConfig &cfg, const tool::RunOptions &opt,
                 std::fprintf(stderr, "warning: %s\n", werr.c_str());
             }
         }
-        if (transportDown)
-            break;
-        const auto now = std::chrono::steady_clock::now();
+        if (!reached) {
+            if (!lost) {
+                lost = true;
+                lostAt = Clock::now();
+            }
+            if (since(lostAt) >= jobResp.deadSec) {
+                transportFail(err);
+                break;
+            }
+            seen = 0; // a restarted broker counts afresh
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            continue;
+        }
+        lost = false;
+        seen = st.progress;
         if (progress)
-            lastProgress = now;
+            lastProgress = Clock::now();
         if (st.complete)
             break;
         if (st.jobFailed) {
@@ -221,16 +251,13 @@ runBrokerPhase(OrchestratorConfig &cfg, const tool::RunOptions &opt,
                          "directly\n");
             break;
         }
-        if (std::chrono::duration<double>(now - lastProgress)
-                .count() > stallSec) {
+        if (since(lastProgress) > stallSec) {
             std::fprintf(stderr,
                          "warning: no broker result for %.0f s; "
                          "recomputing the remainder directly\n",
                          stallSec);
             break;
         }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(50));
     }
     // Whatever landed is a checkpoint; resume makes the orchestrator
     // trust (re-validate) it and compute only the remainder.

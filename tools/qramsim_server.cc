@@ -14,22 +14,30 @@
  * caches outlive the shard, heartbeats its lease on the broker's
  * announced interval, and commits the result. Repeated shards of the
  * same sweep pay zero setup and identical queries pay zero compute.
+ * Nothing sleeps between shards: an idle pull long-polls (it parks
+ * in the broker for up to the `poll_seconds` announced at register
+ * and is asked again at once when it comes back idle), and the
+ * heartbeat thread waits on a condition variable, so the join after
+ * each commit returns at once.
  * The pull loop consults QRAMSIM_FAULT (kill-on-pull /
  * drop-heartbeat / lease-stall) — faults are scoped to the pulled
  * shard's global shot range exactly like the shard CLI's, and the
  * executor itself never injects.
  *
  * Prints "worker NAME pulling from PATH" once registered, then works
- * until SIGINT/SIGTERM, exiting 0 after a clean drain. Exit 2 on bad
+ * until SIGINT/SIGTERM, exiting 0 after a clean drain (a parked pull
+ * returns within the broker's cap, 0.5 s by default). Exit 2 on bad
  * flags.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 #include <signal.h>
@@ -90,7 +98,7 @@ runWorker(srv::Server &server, const std::string &brokerPath,
             s.kind == fault::Kind::LeaseStall)
             faults.push_back(s);
 
-    double heartbeatSec = 1.0, pollSec = 0.05;
+    double heartbeatSec = 1.0, pollSec = 0.0;
     bool registered = false;
     while (!stop.load()) {
         brk::Msg req, resp;
@@ -101,8 +109,7 @@ runWorker(srv::Server &server, const std::string &brokerPath,
             resp.type == "registered") {
             if (resp.heartbeatSec > 0.0)
                 heartbeatSec = resp.heartbeatSec;
-            if (resp.pollSec > 0.0)
-                pollSec = resp.pollSec;
+            pollSec = resp.pollSec;
             registered = true;
             break;
         }
@@ -119,16 +126,14 @@ runWorker(srv::Server &server, const std::string &brokerPath,
         brk::Msg pull, task;
         pull.type = "pull";
         pull.worker = name;
+        pull.pollSec = pollSec; // park in the broker until work appears
         std::string err;
         if (!brk::roundTrip(brokerPath, pull, task, &err)) {
             sleepInterruptible(0.2, stop); // broker gone or restarting
             continue;
         }
-        if (task.type != "assign") {
-            sleepInterruptible(
-                task.pollSec > 0.0 ? task.pollSec : pollSec, stop);
-            continue;
-        }
+        if (task.type != "assign")
+            continue; // the park ran out: ask again
 
         // Scope faults to the pulled shard's global shot range —
         // the same selector the shard CLI uses, so a test can aim a
@@ -163,25 +168,34 @@ runWorker(srv::Server &server, const std::string &brokerPath,
                 ? armed->param
                 : 0.0;
 
-        std::atomic<bool> hbStop{false};
+        // The heartbeat thread waits on hbWake between beats, so the
+        // join after the commit returns as soon as hbStop is set.
+        std::mutex hbMu;
+        std::condition_variable hbWake;
+        bool hbStop = false;
         std::thread hb;
         if (!dropHeartbeat) {
             const std::uint64_t lease = task.lease;
             hb = std::thread([&, lease] {
                 std::uint64_t progress = 0;
-                while (!hbStop.load()) {
+                std::unique_lock<std::mutex> lk(hbMu);
+                while (!hbStop) {
                     // lease-stall heartbeats with FROZEN progress:
                     // the broker sees a live worker but no advance,
                     // so the lease expires on schedule.
                     if (stallSec <= 0.0)
                         ++progress;
+                    lk.unlock();
                     brk::Msg beat, ok;
                     beat.type = "heartbeat";
                     beat.worker = name;
                     beat.lease = lease;
                     beat.progress = progress;
                     brk::roundTrip(brokerPath, beat, ok);
-                    sleepInterruptible(heartbeatSec, hbStop);
+                    lk.lock();
+                    hbWake.wait_for(
+                        lk, std::chrono::duration<double>(heartbeatSec),
+                        [&] { return hbStop; });
                 }
             });
         }
@@ -209,7 +223,11 @@ runWorker(srv::Server &server, const std::string &brokerPath,
             if (stop.load())
                 break;
         }
-        hbStop.store(true);
+        {
+            std::lock_guard<std::mutex> lk(hbMu);
+            hbStop = true;
+        }
+        hbWake.notify_one();
         if (hb.joinable())
             hb.join();
     }
