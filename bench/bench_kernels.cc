@@ -1,6 +1,6 @@
 /**
  * @file
- * Row-kernel microbenchmark: rows/sec for each SIMD kernel
+ * Kernel microbenchmark: rows/sec for each SIMD block kernel
  * (common/simd.hh) at every tier the host CPU supports, appended as a
  * "kernels" record to the perf trajectory (BENCH_simulator.json) so
  * kernel-level regressions stay visible independently of the
@@ -9,13 +9,11 @@
  *   bench_kernels --json FILE [--paths N] [--budget-ms T] [--m M]
  *                 [--repeats R]
  *
- * One "row" is one kernel application over a full bit-across-paths
- * row of N paths (the PathEnsemble layout: padded stride, 64-byte
- * aligned, tail bits masked by the valid row). Each tier also runs
- * the block kernels over a fused EnsembleBlock arena (16 shots' rows
- * back to back — the op-major replay layout), normalized to the same
- * per-shot-row unit so the contiguity win is read directly off the
- * record (block_*_rows_per_sec).
+ * The kernels sweep a fused EnsembleBlock arena (16 shots' rows back
+ * to back — the op-major replay layout). One "row" is one shot's
+ * bit-across-paths row of N paths (the PathEnsemble layout: padded
+ * stride, 64-byte aligned, tail bits masked by the valid row), so
+ * the record reads block_*_rows_per_sec in per-shot-row units.
  *
  * The record also carries a replay-batch width sweep: estimator
  * shots/sec on a bucket-brigade m=M depolarizing workload (general
@@ -118,7 +116,6 @@ main(int argc, char **argv)
             ens.row(q)[w] = rng.bits() & ens.validMask(w);
 
     const EnsembleCtrl ctrls[2] = {{2, 0}, {3, ~std::uint64_t(0)}};
-    simd::AlignedWords dev(nw, 0);
     std::uint64_t sink = 0;
 
     std::printf("qramsim kernel bench | %zu paths, %zu-word rows\n",
@@ -130,47 +127,9 @@ main(int argc, char **argv)
         if (!simd::tierSupported(tier))
             continue;
         const simd::RowKernels &K = simd::kernels(tier);
-        std::uint64_t *t0 = ens.row(0);
-        std::uint64_t *t1 = ens.row(1);
-        const std::uint64_t *rows = ens.rowData();
-        const std::uint64_t *vmask = ens.validMaskRow();
 
-        const double xorFire = itersPerSecond(
-            [&](std::size_t n) {
-                for (std::size_t i = 0; i < n; ++i)
-                    K.xorFire(t0, rows, nw, ctrls, 2, vmask, nw);
-                sink ^= t0[0];
-            },
-            budgetSec, repeats);
-        const double swapFire = itersPerSecond(
-            [&](std::size_t n) {
-                for (std::size_t i = 0; i < n; ++i)
-                    K.swapFire(t0, t1, rows, nw, ctrls, 1, vmask, nw);
-                sink ^= t1[0];
-            },
-            budgetSec, repeats);
-        const double xorRow = itersPerSecond(
-            [&](std::size_t n) {
-                for (std::size_t i = 0; i < n; ++i)
-                    K.xorRow(t0, vmask, nw);
-                sink ^= t0[0];
-            },
-            budgetSec, repeats);
-        const double diffOr = itersPerSecond(
-            [&](std::size_t n) {
-                for (std::size_t i = 0; i < n; ++i) {
-                    dev.assign(nw, 0);
-                    sink ^= K.diffOr(dev.data(), t0, t1, nw);
-                }
-            },
-            budgetSec, repeats);
-
-        // Block-kernel section: the same ops swept op-major over a
-        // fused EnsembleBlock arena (kBlockShots shots' rows back to
-        // back, all joined). One "row" is still one shot's row, so
-        // these numbers are directly comparable with the per-row
-        // kernels above — the gap is what the transposed batch loop
-        // buys from contiguity and hoisted control streams.
+        // The ops swept op-major over a fused EnsembleBlock arena
+        // (kBlockShots shots' rows back to back, all joined).
         constexpr std::size_t kBlockShots = 16;
         EnsembleBlock blk;
         blk.reshape(8, paths, kBlockShots);
@@ -221,24 +180,16 @@ main(int argc, char **argv)
             },
             budgetSec, repeats);
 
-        std::printf("  %-6s xor_fire %.3g  swap_fire %.3g  "
-                    "xor_row %.3g  diff_or %.3g rows/s\n",
-                    simd::tierName(tier), xorFire, swapFire, xorRow,
-                    diffOr);
-        std::printf("         block(%zu): xor_fire %.3g  "
+        std::printf("  %-6s block(%zu): xor_fire %.3g  "
                     "swap_fire %.3g  xor_row %.3g  diff_or %.3g "
                     "rows/s\n",
-                    kBlockShots, xorFireB, swapFireB, xorRowB,
-                    diffOrB);
+                    simd::tierName(tier), kBlockShots, xorFireB,
+                    swapFireB, xorRowB, diffOrB);
 
         char buf[1024];
         std::snprintf(buf, sizeof buf,
                       "%s      {\n"
                       "        \"tier\": \"%s\",\n"
-                      "        \"xor_fire_rows_per_sec\": %.6g,\n"
-                      "        \"swap_fire_rows_per_sec\": %.6g,\n"
-                      "        \"xor_row_rows_per_sec\": %.6g,\n"
-                      "        \"diff_or_rows_per_sec\": %.6g,\n"
                       "        \"block_shots\": %zu,\n"
                       "        \"block_rows_per_sec\": %.6g,\n"
                       "        \"block_swap_fire_rows_per_sec\": %.6g,\n"
@@ -246,9 +197,8 @@ main(int argc, char **argv)
                       "        \"block_diff_or_rows_per_sec\": %.6g\n"
                       "      }",
                       tiersJson.empty() ? "" : ",\n",
-                      simd::tierName(tier), xorFire, swapFire, xorRow,
-                      diffOr, kBlockShots, xorFireB, swapFireB,
-                      xorRowB, diffOrB);
+                      simd::tierName(tier), kBlockShots, xorFireB,
+                      swapFireB, xorRowB, diffOrB);
         tiersJson += buf;
     }
     if (sink == 0xdeadbeefdeadbeefull) // defeat dead-code elimination

@@ -17,7 +17,8 @@
  *    hex, no "inf"/"nan", no overflow-to-infinity);
  *  - unsigned integers are parsed digit-by-digit with an exact
  *    overflow check (strtoull would accept "-1" by wrapping);
- *  - \u escapes require four hex digits;
+ *  - \u escapes require four hex digits and name one byte (at most
+ *    \u00ff; a wider code point is refused, never truncated);
  *  - every cursor advance is bounds-checked, so a file cut at any
  *    byte yields "truncated ..." rather than a read past the end
  *    (corpus-tested over all prefixes in tests/test_orchestrator.cc).
@@ -66,17 +67,27 @@ inline void
 appendEscaped(std::string &s, const std::string &v)
 {
     s += '"';
-    for (char c : v) {
+    const char *p = v.data();
+    const char *const end = p + v.size();
+    for (;;) {
+        // Copy the run up to the next byte that needs an escape in
+        // one append: payloads nested in journal lines are long runs.
+        const char *run = p;
+        while (p < end && *p != '"' && *p != '\\' &&
+               static_cast<unsigned char>(*p) >= 0x20)
+            ++p;
+        s.append(run, p);
+        if (p == end)
+            break;
+        const char c = *p++;
         if (c == '"' || c == '\\') {
             s += '\\';
             s += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
+        } else {
             char buf[8];
             std::snprintf(buf, sizeof buf, "\\u%04x",
                           static_cast<unsigned>(c));
             s += buf;
-        } else {
-            s += c;
         }
     }
     s += '"';
@@ -148,7 +159,13 @@ struct Cursor
         ++p;
         out.clear();
         while (p < end && *p != '"') {
-            if (*p == '\\') {
+            if (*p != '\\') {
+                // The run up to the next quote or escape, in one append.
+                const char *run = p;
+                while (p < end && *p != '"' && *p != '\\')
+                    ++p;
+                out.append(run, p);
+            } else {
                 ++p;
                 if (p >= end)
                     return fail("truncated escape");
@@ -176,6 +193,9 @@ struct Cursor
                             return fail("malformed \\u escape");
                         v = v * 16 + d;
                     }
+                    // Strings here are bytes: an escape names one.
+                    if (v > 0xff)
+                        return fail("\\u escape beyond one byte");
                     out += static_cast<char>(v);
                     p += 4;
                     break;
@@ -183,8 +203,6 @@ struct Cursor
                   default: return fail("unsupported escape");
                 }
                 ++p;
-            } else {
-                out += *p++;
             }
         }
         if (p >= end)

@@ -21,6 +21,10 @@
  * preserves the invariant that tail bits are zero (kernels mask fire
  * words with the validMask row), so row-level equality and popcounts
  * never see garbage.
+ *
+ * EnsembleBlock, below, fuses K shots' ensembles into one arena for
+ * the op-major replay loop of sim/feynman.cc. That loop is the only
+ * ensemble op loop: a PathEnsemble enters it as a one-shot arena.
  */
 
 #ifndef QRAMSIM_COMMON_PATHENSEMBLE_HH
@@ -75,9 +79,9 @@ class PathEnsemble
 
     /// @name Row access
     ///
-    /// The hot kernels (sim/feynman.cc runSpanEnsemble) index rows
-    /// without bounds checks; callers must keep q < numQubits() and
-    /// preserve the tail-bit invariant when writing.
+    /// The hot kernels (the op-major replay of sim/feynman.cc) index
+    /// rows without bounds checks; callers must keep q < numQubits()
+    /// and preserve the tail-bit invariant when writing.
     /// @{
 
     std::uint64_t *row(std::size_t q) { return bits.data() + q * pw; }
@@ -107,7 +111,24 @@ class PathEnsemble
      * The valid-mask row itself (wordsPerQubit() words, aligned) —
      * what the SIMD kernels seed their fire masks from.
      */
-    const std::uint64_t *validMaskRow() const { return vmask.data(); }
+    const std::uint64_t *validMask() const { return vmask.data(); }
+
+    /// @}
+
+    /// @name One-shot arena view
+    ///
+    /// The EnsembleBlock accessors of a one-shot arena whose only
+    /// shot is always joined, so the op-major replay loop
+    /// (FeynmanExecutor::runSpanEnsemble) advances an ensemble in
+    /// place: its mask row is the valid mask and join() is a no-op.
+    /// @{
+
+    std::size_t numShots() const { return 1; }
+    std::size_t rowWords() const { return pw; }
+    const std::uint64_t *maskRow() const { return vmask.data(); }
+    std::uint64_t *row(std::size_t q, std::size_t) { return row(q); }
+    std::complex<double> *phaseSlice(std::size_t) { return phaseData(); }
+    void join(std::size_t) {}
 
     /// @}
 
@@ -315,10 +336,13 @@ class EnsembleBlock
 
     bool joined(std::size_t s) const { return joinedFlags[s] != 0; }
 
-    /** Open shot @p s's mask slice: ops now apply to its rows. */
+    /** Open shot @p s's mask slice: ops now apply to its rows. A
+     *  no-op for a shot that has already joined. */
     void
     join(std::size_t s)
     {
+        if (joinedFlags[s])
+            return;
         std::uint64_t *m = mask.data() + s * pw;
         for (std::size_t w = 0; w < pw; ++w)
             m[w] = vmask[w];
@@ -372,23 +396,6 @@ class EnsembleBlock
     std::vector<std::complex<double>> phases; ///< ns * np
     std::vector<std::uint8_t> joinedFlags;    ///< per-shot join bit
 };
-
-/**
- * Evaluate @p n ensemble control terms over row word @p w of @p ens:
- * the returned mask has bit k set iff every control matches for path
- * 64*w + k. Tail bits are already masked off via validMask. The word
- * twin of the SIMD fire-mask kernels, used by the diagonal-op bit
- * walks.
- */
-inline std::uint64_t
-ensembleFireMask(const PathEnsemble &ens, const EnsembleCtrl *ctrls,
-                 std::size_t n, std::size_t w)
-{
-    std::uint64_t fire = ens.validMask(w);
-    for (std::size_t c = 0; c < n && fire; ++c)
-        fire &= ens.row(ctrls[c].qubit)[w] ^ ctrls[c].invert;
-    return fire;
-}
 
 } // namespace qramsim
 

@@ -17,6 +17,10 @@ namespace {
 
 // ------------------------------------------------------------- scalar
 
+// Per-row fire sweeps: not kernels of their own, but the fallback of
+// the block kernels below for ops with more than kCtrlHoist controls
+// (and the vector tiers' scalar tail).
+
 void
 xorFireScalar(std::uint64_t *target, const std::uint64_t *rows,
               std::size_t stride, const EnsembleCtrl *ctrls,
@@ -48,28 +52,7 @@ swapFireScalar(std::uint64_t *t0, std::uint64_t *t1,
     }
 }
 
-void
-xorRowScalar(std::uint64_t *dst, const std::uint64_t *src,
-             std::size_t nw)
-{
-    for (std::size_t w = 0; w < nw; ++w)
-        dst[w] ^= src[w];
-}
-
-std::uint64_t
-diffOrScalar(std::uint64_t *dev, const std::uint64_t *a,
-             const std::uint64_t *b, std::size_t nw)
-{
-    std::uint64_t any = 0;
-    for (std::size_t w = 0; w < nw; ++w) {
-        const std::uint64_t d = a[w] ^ b[w];
-        dev[w] |= d;
-        any |= d;
-    }
-    return any;
-}
-
-// Fused-arena fire kernels. Arithmetic is the row kernels' (the
+// Fused-arena fire kernels. Arithmetic is the row sweeps' (the
 // block layout only changes nw/stride and folds shot activity into
 // the mask row), but the sweeps are long — one op covers every
 // batched shot — so control row pointers and polarity words are
@@ -155,14 +138,16 @@ diffOrBlockScalar(std::uint64_t *dev, const std::uint64_t *a,
     }
 }
 
-constexpr RowKernels kScalar = {xorFireScalar,      swapFireScalar,
-                                xorRowScalar,       diffOrScalar,
-                                xorFireBlockScalar, swapFireBlockScalar,
-                                xorRowBlockScalar,  diffOrBlockScalar};
+constexpr RowKernels kScalar = {xorFireBlockScalar, swapFireBlockScalar,
+                                xorRowBlockScalar, diffOrBlockScalar};
 
 #ifdef QRAMSIM_SIMD_X86
 
 // -------------------------------------------------------------- AVX2
+
+// Per-row sweeps, the block kernels' fallbacks: the fire sweeps for
+// ops with more than kCtrlHoist controls, the row flip and deviation
+// sweeps for slices wider than one cache line (pw != 8).
 
 __attribute__((target("avx2"))) void
 xorFireAvx2(std::uint64_t *target, const std::uint64_t *rows,
@@ -423,12 +408,12 @@ diffOrBlockAvx2(std::uint64_t *dev, const std::uint64_t *a,
         anyOut[s] = diffOrAvx2(dev, a, b, pw);
 }
 
-constexpr RowKernels kAvx2 = {xorFireAvx2,      swapFireAvx2,
-                              xorRowAvx2,       diffOrAvx2,
-                              xorFireBlockAvx2, swapFireBlockAvx2,
-                              xorRowBlockAvx2,  diffOrBlockAvx2};
+constexpr RowKernels kAvx2 = {xorFireBlockAvx2, swapFireBlockAvx2,
+                              xorRowBlockAvx2, diffOrBlockAvx2};
 
 // ----------------------------------------------------------- AVX-512
+
+// Per-row fallbacks, as in the AVX2 tier.
 
 __attribute__((target("avx512f"))) void
 xorFireAvx512(std::uint64_t *target, const std::uint64_t *rows,
@@ -635,10 +620,8 @@ diffOrBlockAvx512(std::uint64_t *dev, const std::uint64_t *a,
         anyOut[s] = diffOrAvx512(dev, a, b, pw);
 }
 
-constexpr RowKernels kAvx512 = {xorFireAvx512,      swapFireAvx512,
-                                xorRowAvx512,       diffOrAvx512,
-                                xorFireBlockAvx512, swapFireBlockAvx512,
-                                xorRowBlockAvx512,  diffOrBlockAvx512};
+constexpr RowKernels kAvx512 = {xorFireBlockAvx512, swapFireBlockAvx512,
+                                xorRowBlockAvx512, diffOrBlockAvx512};
 
 #endif // QRAMSIM_SIMD_X86
 

@@ -2,22 +2,22 @@
  * @file
  * Runtime-dispatched SIMD kernels for the bit-sliced ensemble rows.
  *
- * The hot loops of the ensemble engine (sim/feynman.cc
- * runSpanEnsemble and the estimator's deviation-mask / Z-parity
+ * The hot loops of the ensemble engine (the op-major replay of
+ * sim/feynman.cc and the estimator's deviation-mask / Z-parity
  * reductions) are pure word-level AND/XOR sweeps over packed
  * bit-across-paths rows (common/pathensemble.hh). Those sweeps are
- * expressed here as four row kernels plus their four block twins
- * (op-major sweeps over the fused multi-shot EnsembleBlock arena),
- * each provided in three tiers —
- * portable scalar, AVX2 (4 words per step), AVX-512F (8 words per
- * step) — compiled with per-function target attributes so one binary
- * carries all tiers and picks the widest one the CPU supports at
- * runtime (overridable via the QRAMSIM_SIMD environment variable or
- * setActiveTier, which the differential tests use to pin a tier).
+ * expressed here as four block kernels over the fused multi-shot
+ * EnsembleBlock arena (a single row is a one-slice block), each
+ * provided in three tiers — portable scalar, AVX2 (4 words per step),
+ * AVX-512F (8 words per step) — compiled with per-function target
+ * attributes so one binary carries all tiers and picks the widest one
+ * the CPU supports at runtime (overridable via the QRAMSIM_SIMD
+ * environment variable or setActiveTier, which the differential tests
+ * use to pin a tier).
  *
  * Every kernel is pure bit arithmetic, so all tiers are bit-identical
- * by construction; tests/test_simd.cc enforces it on random row
- * patterns and full circuits anyway.
+ * by construction; tests/test_block_replay.cc enforces it against a
+ * plain reference loop, and tests/test_simd.cc on full circuits.
  *
  * Rows handed to the kernels are expected to be 64-byte aligned with
  * a word stride that is a multiple of kRowAlignWords (PathEnsemble
@@ -101,59 +101,27 @@ enum class Tier : std::uint8_t { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 const char *tierName(Tier t);
 
 /**
- * The row-kernel ABI. All kernels operate on @p nw-word rows; control
- * rows are addressed as @p rows + ctrls[c].qubit * @p stride, exactly
- * the PathEnsemble layout, and the fire mask of word w is
+ * The kernel ABI: four sweeps over the fused EnsembleBlock arena
+ * (common/pathensemble.hh). A qubit's "block row" concatenates every
+ * batched shot's padded word-row back to back, so one contiguous
+ * sweep applies one op to all shots at once; a single row is the
+ * one-shot case. Control rows are addressed as @p rows +
+ * ctrls[c].qubit * @p stride, and the fire mask of word w is
  *
- *   vmask[w] & AND_c (rows[ctrls[c].qubit * stride + w] ^ ctrls[c].invert)
+ *   bmask[w] & AND_c (rows[ctrls[c].qubit * stride + w] ^ ctrls[c].invert)
  *
- * where @p vmask carries the tail/padding zeros so no kernel ever
- * flips an invalid path bit.
+ * @p bmask is the arena's combined mask row — the per-shot valid mask
+ * for shots that have joined the replay, all-zero slices for shots
+ * that have not — which keeps shots entering at different checkpoints
+ * exact (an op can never touch a slice whose shot has not reached it)
+ * and carries the tail/padding zeros, so no kernel ever flips an
+ * invalid path bit. Block rows keep the PathEnsemble guarantees
+ * (64-byte-aligned slices, word counts that are multiples of
+ * kRowAlignWords), so these kernels run whole vector steps with no
+ * scalar tail.
  */
 struct RowKernels
 {
-    /** Controlled X: target[w] ^= fire(w). */
-    void (*xorFire)(std::uint64_t *target, const std::uint64_t *rows,
-                    std::size_t stride, const EnsembleCtrl *ctrls,
-                    std::size_t nc, const std::uint64_t *vmask,
-                    std::size_t nw);
-
-    /** Controlled Swap: masked XOR-swap of two rows under fire(w). */
-    void (*swapFire)(std::uint64_t *t0, std::uint64_t *t1,
-                     const std::uint64_t *rows, std::size_t stride,
-                     const EnsembleCtrl *ctrls, std::size_t nc,
-                     const std::uint64_t *vmask, std::size_t nw);
-
-    /**
-     * dst[w] ^= src[w]. The whole-row X-event flip (src = the valid
-     * mask) and the Z-parity snapshot reduction of the estimator.
-     */
-    void (*xorRow)(std::uint64_t *dst, const std::uint64_t *src,
-                   std::size_t nw);
-
-    /**
-     * Deviation-mask accumulate: dev[w] |= a[w] ^ b[w]; returns the
-     * OR over all diff words (nonzero iff the rows differ anywhere).
-     */
-    std::uint64_t (*diffOr)(std::uint64_t *dev, const std::uint64_t *a,
-                            const std::uint64_t *b, std::size_t nw);
-
-    /// @name Block kernels (op-major batched replay)
-    ///
-    /// Twins of the row kernels over the fused EnsembleBlock arena
-    /// (common/pathensemble.hh): a qubit's "block row" concatenates
-    /// every batched shot's padded word-row back to back, so one
-    /// contiguous sweep applies one op to all shots at once. @p bmask
-    /// is the arena's combined mask row — the per-shot valid mask for
-    /// shots that have joined the replay, all-zero slices for shots
-    /// that have not — which is what keeps shots entering at different
-    /// checkpoints exact: an op can never touch a slice whose shot has
-    /// not reached it. Block rows keep the PathEnsemble guarantees
-    /// (64-byte-aligned slices, word counts that are multiples of
-    /// kRowAlignWords), so these kernels run whole vector steps with
-    /// no scalar tail.
-    /// @{
-
     /** Controlled X over the arena: target[w] ^= fire(w), w in [0, nw). */
     void (*xorFireBlock)(std::uint64_t *target, const std::uint64_t *rows,
                          std::size_t stride, const EnsembleCtrl *ctrls,
@@ -168,9 +136,10 @@ struct RowKernels
 
     /**
      * Broadcast row flip: dst[s*pw + w] ^= src[w] for every shot slice
-     * s in [0, n), w in [0, pw). The X-error whole-row flip of the
-     * block path (src = the shot valid mask, n = 1 for a single shot's
-     * slice); src stays register-resident across slices.
+     * s in [0, n), w in [0, pw). The X-error whole-row flip (src = the
+     * shot valid mask, n = 1 for a single shot's slice) and the
+     * Z-parity snapshot reduction of the estimator (n = 1); src stays
+     * register-resident across slices.
      */
     void (*xorRowBlock)(std::uint64_t *dst, const std::uint64_t *src,
                         std::size_t pw, std::size_t n);
@@ -178,15 +147,12 @@ struct RowKernels
     /**
      * Per-slice deviation accumulate against one shared row:
      * dev[s*pw + w] |= a[s*pw + w] ^ b[w], and anyOut[s] = OR of slice
-     * s's diff words — the block twin of diffOr, comparing every
-     * batched shot's row of one qubit against the single ideal row in
-     * one sweep.
+     * s's diff words — comparing every batched shot's row of one
+     * qubit against the single ideal row in one sweep.
      */
     void (*diffOrBlock)(std::uint64_t *dev, const std::uint64_t *a,
                         const std::uint64_t *b, std::size_t pw,
                         std::size_t n, std::uint64_t *anyOut);
-
-    /// @}
 };
 
 /** True if this build + CPU can execute @p t's kernels. */

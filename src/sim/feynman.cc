@@ -307,14 +307,13 @@ namespace {
 
 /**
  * Apply one error event to one shot's row slice and phase
- * accumulators — the shared core of the per-shot and block ensemble
- * engines, so the Pauli arithmetic (the bit-identity contract) lives
- * in exactly one place. Per-path arithmetic is identical (value and
- * order) to applyErrorWords on each path: sign flips for the paths
- * whose bit is set, then the bit flip / global i. Bit flips are whole-row XORs
- * of the valid mask (the broadcast block kernel, one slice); phase
- * walks only visit data words — padding words are zero by invariant,
- * so they can never contribute a set bit.
+ * accumulators, so the Pauli arithmetic (the bit-identity contract)
+ * lives in exactly one place. Per-path arithmetic is identical (value
+ * and order) to applyErrorWords on each path: sign flips for the
+ * paths whose bit is set, then the bit flip / global i. Bit flips are
+ * whole-row XORs of the valid mask (the broadcast block kernel, one
+ * slice); phase walks only visit data words — padding words are zero
+ * by invariant, so they can never contribute a set bit.
  */
 void
 applyErrorRows(const FlatEvent &e, std::uint64_t *r,
@@ -359,93 +358,10 @@ applyErrorRows(const FlatEvent &e, std::uint64_t *r,
     }
 }
 
-/** applyErrorRows over a whole (single-shot) ensemble. */
-inline void
-applyErrorEnsemble(const FlatEvent &e, PathEnsemble &ens,
-                   const simd::RowKernels &K)
-{
-    applyErrorRows(e, ens.row(e.qubit), ens.validMaskRow(),
-                   ens.wordsPerQubit(), ens.dataWords(),
-                   ens.phaseData(), ens.numPaths(), K);
-}
-
 /**
- * Apply one decoded compiled op to one ensemble. X/Swap dispatch to
- * the fire-mask row kernels; diagonal ops walk the firing set bits
- * and multiply phases (same constants, same order as the scalar
- * engine — the bit-identity contract).
- */
-inline void
-applyOpEnsemble(CompiledStream::Op op, std::uint32_t q0,
-                std::uint32_t q1, const EnsembleCtrl *ec,
-                std::size_t nc, PathEnsemble &ens,
-                const simd::RowKernels &K)
-{
-    const std::size_t pw = ens.wordsPerQubit();
-    // Diagonal-op phase walks only visit data words — fire masks on
-    // padding words are provably zero.
-    const std::size_t dw = ens.dataWords();
-    std::uint64_t *rows = ens.rowData();
-    std::complex<double> *ph = ens.phaseData();
-
-    switch (op) {
-      case CompiledStream::Op::X:
-        K.xorFire(rows + std::size_t(q0) * pw, rows, pw, ec, nc,
-                  ens.validMaskRow(), pw);
-        break;
-      case CompiledStream::Op::Swap:
-        K.swapFire(rows + std::size_t(q0) * pw,
-                   rows + std::size_t(q1) * pw, rows, pw, ec, nc,
-                   ens.validMaskRow(), pw);
-        break;
-      case CompiledStream::Op::Z: {
-        const std::uint64_t *t = rows + std::size_t(q0) * pw;
-        for (std::size_t w = 0; w < dw; ++w) {
-            std::uint64_t m = t[w] & ensembleFireMask(ens, ec, nc, w);
-            while (m) {
-                const std::size_t k =
-                    w * 64 +
-                    static_cast<std::size_t>(__builtin_ctzll(m));
-                m &= m - 1;
-                ph[k] = -ph[k];
-            }
-        }
-        break;
-      }
-      case CompiledStream::Op::S:
-      case CompiledStream::Op::T:
-      case CompiledStream::Op::Tdg: {
-        constexpr double r = std::numbers::sqrt2 / 2.0;
-        const std::complex<double> factor =
-            op == CompiledStream::Op::S
-                ? std::complex<double>(0.0, 1.0)
-                : (op == CompiledStream::Op::T
-                       ? std::complex<double>(r, r)
-                       : std::complex<double>(r, -r));
-        const std::uint64_t *t = rows + std::size_t(q0) * pw;
-        for (std::size_t w = 0; w < dw; ++w) {
-            std::uint64_t m = t[w] & ensembleFireMask(ens, ec, nc, w);
-            while (m) {
-                const std::size_t k =
-                    w * 64 +
-                    static_cast<std::size_t>(__builtin_ctzll(m));
-                m &= m - 1;
-                ph[k] *= factor;
-            }
-        }
-        break;
-      }
-      case CompiledStream::Op::H:
-        QRAMSIM_PANIC("H gate is not basis-preserving; "
-                      "teleportation gadgets must not reach the "
-                      "path simulator");
-    }
-}
-
-/**
- * Fire mask of arena word @p w: the block mask row (per-shot valid
+ * Fire mask of arena word @p w: the arena's mask row (per-shot valid
  * masks for joined shots, zeros otherwise) ANDed with every control
- * term's block row — the EnsembleBlock twin of ensembleFireMask.
+ * term's row word.
  */
 inline std::uint64_t
 blockFireMask(const std::uint64_t *rows, std::size_t stride,
@@ -459,13 +375,18 @@ blockFireMask(const std::uint64_t *rows, std::size_t stride,
     return fire;
 }
 
+// The replay below is written once over an "arena": an EnsembleBlock
+// (K batched shots) or a PathEnsemble (its one-shot, always-joined
+// view), which share the row/mask/phase accessors it uses.
+
 /**
- * applyErrorRows on shot @p s's slice of the block. Uses the
+ * applyErrorRows on shot @p s's slice of the arena. Uses the
  * valid-mask template — not the join mask — so tail events of shots
  * that never join the op loop (from == to) still apply.
  */
+template <class Arena>
 inline void
-applyErrorBlock(const FlatEvent &e, EnsembleBlock &blk, std::size_t s,
+applyErrorBlock(const FlatEvent &e, Arena &blk, std::size_t s,
                 const simd::RowKernels &K)
 {
     applyErrorRows(e, blk.row(e.qubit, s), blk.validMask(),
@@ -474,15 +395,16 @@ applyErrorBlock(const FlatEvent &e, EnsembleBlock &blk, std::size_t s,
 }
 
 /**
- * Apply one decoded compiled op to every joined shot of the block in
+ * Apply one decoded compiled op to every joined shot of the arena in
  * one contiguous sweep. X/Swap are single block-kernel calls over the
  * fused rows; diagonal ops walk each joined shot's firing bits in
- * slice order (same constants, same per-shot order as the per-shot
+ * slice order (same constants and per-path order as the scalar
  * engine — the bit-identity contract).
  */
+template <class Arena>
 inline void
 applyOpBlock(CompiledStream::Op op, std::uint32_t q0, std::uint32_t q1,
-             const EnsembleCtrl *ec, std::size_t nc, EnsembleBlock &blk,
+             const EnsembleCtrl *ec, std::size_t nc, Arena &blk,
              const simd::RowKernels &K)
 {
     const std::size_t rw = blk.rowWords();
@@ -556,17 +478,14 @@ applyOpBlock(CompiledStream::Op op, std::uint32_t q0, std::uint32_t q1,
     }
 }
 
-} // namespace
-
+/** The op-major replay loop (see runSpanEnsembleBlock). */
+template <class Arena>
 void
-FeynmanExecutor::runSpanEnsembleBlock(EnsembleBlock &blk,
-                                      BlockReplayShot *shots,
-                                      std::uint32_t to) const
+replayArena(const CompiledStream &cs, Arena &blk,
+            FeynmanExecutor::BlockReplayShot *shots, std::uint32_t to)
 {
     const simd::RowKernels &K = simd::activeKernels();
     const std::size_t n = blk.numShots();
-    QRAMSIM_ASSERT(blk.numQubits() == circ.numQubits(),
-                   "block width mismatch");
     std::uint32_t i = to;
     for (std::size_t b = 0; b < n; ++b) {
         QRAMSIM_ASSERT(shots[b].from <= to,
@@ -586,17 +505,16 @@ FeynmanExecutor::runSpanEnsembleBlock(EnsembleBlock &blk,
         // before this position, and find the next position where any
         // per-shot bookkeeping is needed again. Events fire before
         // the op at their position and a shot's first op is the op at
-        // its join position — exactly runSpanEnsemble's interleaving —
-        // so every stop position is > i and the loop advances.
+        // its join position — exactly runSpan's interleaving — so
+        // every stop position is > i and the loop advances.
         std::uint32_t stop = to;
         for (std::size_t b = 0; b < n; ++b) {
-            BlockReplayShot &s = shots[b];
+            FeynmanExecutor::BlockReplayShot &s = shots[b];
             if (s.from > i) {
                 stop = std::min(stop, s.from);
                 continue;
             }
-            if (!blk.joined(b))
-                blk.join(b);
+            blk.join(b);
             while (s.ev < s.numEvents && s.events[s.ev].pos <= i)
                 applyErrorBlock(s.events[s.ev++], blk, b, K);
             if (s.ev < s.numEvents)
@@ -614,7 +532,7 @@ FeynmanExecutor::runSpanEnsembleBlock(EnsembleBlock &blk,
     }
 
     for (std::size_t b = 0; b < n; ++b) {
-        BlockReplayShot &s = shots[b];
+        FeynmanExecutor::BlockReplayShot &s = shots[b];
         while (s.ev < s.numEvents) {
             QRAMSIM_ASSERT(s.events[s.ev].pos <= to,
                            "error event beyond replay span");
@@ -623,55 +541,28 @@ FeynmanExecutor::runSpanEnsembleBlock(EnsembleBlock &blk,
     }
 }
 
+} // namespace
+
+void
+FeynmanExecutor::runSpanEnsembleBlock(EnsembleBlock &blk,
+                                      BlockReplayShot *shots,
+                                      std::uint32_t to) const
+{
+    QRAMSIM_ASSERT(blk.numQubits() == circ.numQubits(),
+                   "block width mismatch");
+    replayArena(cs, blk, shots, to);
+}
+
 void
 FeynmanExecutor::runSpanEnsemble(PathEnsemble &ens, std::uint32_t from,
                                  std::uint32_t to,
                                  const FlatEvent *events,
                                  std::size_t numEvents) const
 {
-    const simd::RowKernels &K = simd::activeKernels();
     QRAMSIM_ASSERT(ens.numQubits() == circ.numQubits(),
                    "ensemble width mismatch");
-    QRAMSIM_ASSERT(from <= to, "replay span starts beyond its end");
-
-    const std::uint8_t *kind = cs.kind.data();
-    const std::uint32_t *tq0 = cs.tq0.data();
-    const std::uint32_t *tq1 = cs.tq1.data();
-    const std::uint32_t *ectrlBegin = cs.ectrlBegin.data();
-    const EnsembleCtrl *ectrl = cs.ectrl.data();
-
-    std::size_t ev = 0;
-    for (std::uint32_t i = from; i < to; ++i) {
-        while (ev < numEvents && events[ev].pos <= i)
-            applyErrorEnsemble(events[ev++], ens, K);
-        applyOpEnsemble(static_cast<CompiledStream::Op>(kind[i]),
-                        tq0[i], tq1[i], ectrl + ectrlBegin[i],
-                        ectrlBegin[i + 1] - ectrlBegin[i], ens, K);
-    }
-    for (; ev < numEvents; ++ev) {
-        QRAMSIM_ASSERT(events[ev].pos <= to,
-                       "error event beyond replay span");
-        applyErrorEnsemble(events[ev], ens, K);
-    }
-}
-
-PathEnsemble
-FeynmanExecutor::runIdealEnsemble(const PathEnsemble &input) const
-{
-    PathEnsemble e = input;
-    runSpanEnsemble(e, 0, static_cast<std::uint32_t>(cs.size()),
-                    nullptr, 0);
-    return e;
-}
-
-PathEnsemble
-FeynmanExecutor::runFlatEnsemble(const PathEnsemble &input,
-                                 const FlatRealization &errors) const
-{
-    PathEnsemble e = input;
-    runSpanEnsemble(e, 0, static_cast<std::uint32_t>(cs.size()),
-                    errors.events.data(), errors.events.size());
-    return e;
+    BlockReplayShot shot{events, numEvents, from};
+    replayArena(cs, ens, &shot, to);
 }
 
 PathState

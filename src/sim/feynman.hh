@@ -22,6 +22,12 @@
  * it is the differential-testing oracle and the baseline the perf
  * trajectory (BENCH_simulator.json) is measured against.
  *
+ * The bit-sliced ensemble engine advances all paths of many shots at
+ * once through one op-major loop (runSpanEnsembleBlock); a single
+ * PathEnsemble replays through the same loop as a one-shot arena
+ * (runSpanEnsemble). The per-path runSpan stays as the scalar
+ * oracle.
+ *
  * H gates (used only inside teleportation gadgets, which are analyzed
  * for depth rather than simulated) are rejected with panic() when
  * executed.
@@ -253,29 +259,18 @@ class FeynmanExecutor
     /// Propagates every path of a shot at once through the qubit-major
     /// layout: each op evaluates its controls into a 64-path fire mask
     /// per row word and applies target updates word-wide (through the
-    /// runtime-dispatched row kernels of common/simd.hh), and every
-    /// error event becomes a whole-row operation. Sequentially
-    /// bit-identical (bits and phases) to running the scalar engine
-    /// path by path: each path sees the identical ordered sequence of
-    /// flips and phase factors.
+    /// runtime-dispatched block kernels of common/simd.hh), and every
+    /// error event becomes a whole-row operation. One op-major loop
+    /// serves both entries below; it is bit-identical (bits and
+    /// phases) to running the scalar engine path by path: each path
+    /// sees the identical ordered sequence of flips and phase factors.
     /// @{
-
-    /**
-     * Ensemble twin of runSpan: advance @p ens in place through
-     * stream positions [from, to), firing @p events[0, numEvents) at
-     * their positions (all positions must lie in [from, to]). The
-     * per-shot reference of the op-major block replay, and the
-     * estimator's checkpoint builder.
-     */
-    void runSpanEnsemble(PathEnsemble &ens, std::uint32_t from,
-                         std::uint32_t to, const FlatEvent *events,
-                         std::size_t numEvents) const;
 
     /**
      * One shot of an op-major block replay: its remaining events
      * (positions in [from, to] of the block call) and its join
      * position in the op stream. The event cursor is internal state
-     * of runSpanEnsembleBlock.
+     * of the replay.
      */
     struct BlockReplayShot
     {
@@ -286,29 +281,31 @@ class FeynmanExecutor
     };
 
     /**
-     * Op-major (transposed) multi-shot twin of runSpanEnsemble over
-     * the fused EnsembleBlock arena: @p blk holds blk.numShots()
-     * shots' states qubit-major, shot-minor, and @p shots their join
-     * positions and event lists. Each op is decoded once and applied
-     * to every joined shot's rows with ONE contiguous block-kernel
-     * sweep per target row; runs of event-free ops execute back to
-     * back with zero per-shot bookkeeping. Shots join at their own
-     * positions (their mask slices open right before their first op)
-     * and their events fire at their own positions, so each shot's
-     * op/event sequence is exactly its solo runSpanEnsemble sequence
-     * — results are bit-identical shot by shot to the per-shot
-     * engine at every batch width.
+     * Op-major (transposed) multi-shot replay over the fused
+     * EnsembleBlock arena: @p blk holds blk.numShots() shots' states
+     * qubit-major, shot-minor, and @p shots their join positions and
+     * event lists. Each op is decoded once and applied to every
+     * joined shot's rows with ONE contiguous block-kernel sweep per
+     * target row; runs of event-free ops execute back to back with
+     * zero per-shot bookkeeping. Shots join at their own positions
+     * (their mask slices open right before their first op) and their
+     * events fire at their own positions, so results are
+     * bit-identical shot by shot to runSpan path by path at every
+     * batch width.
      */
     void runSpanEnsembleBlock(EnsembleBlock &blk,
                               BlockReplayShot *shots,
                               std::uint32_t to) const;
 
-    /** Noiseless ensemble propagation (whole stream). */
-    PathEnsemble runIdealEnsemble(const PathEnsemble &input) const;
-
-    /** Ensemble propagation under a flattened realization. */
-    PathEnsemble runFlatEnsemble(const PathEnsemble &input,
-                                 const FlatRealization &errors) const;
+    /**
+     * The same loop over one ensemble in place: advance @p ens
+     * through stream positions [from, to), firing @p events[0,
+     * numEvents) at their positions (all positions must lie in
+     * [from, to]). The estimator's checkpoint builder.
+     */
+    void runSpanEnsemble(PathEnsemble &ens, std::uint32_t from,
+                         std::uint32_t to, const FlatEvent *events,
+                         std::size_t numEvents) const;
 
     /// @}
 

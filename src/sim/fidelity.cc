@@ -383,7 +383,7 @@ FidelityEstimator::shotZOnly(const FlatRealization &errors,
                 : snapBits.data() +
                       std::size_t(it - snapPos.data() - 1) *
                           pathWords;
-        K.xorRow(ws.parity.data(), vec, pathWords);
+        K.xorRowBlock(ws.parity.data(), vec, pathWords, 1);
     }
     std::complex<double> full{0.0, 0.0};
     ws.zSums.assign(zGroups, {0.0, 0.0});
@@ -1113,14 +1113,18 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
         return (globalShot - spec.shotBegin) * npts;
     };
 
-    // The per-chunk evaluation bodies (plain estimate vs sweep),
-    // shared by every stream/thread dispatch below. Each evaluates
-    // global shots [begin, end) using makeRng(s) for shot s's draws
-    // and leaves its stage times in `times`.
-    auto plainRange = [&](auto makeRng, std::size_t begin,
-                          std::size_t end, StageTimes &times) {
-        std::vector<FlatRealization> reals(std::min<std::size_t>(
-            std::max<std::size_t>(1, end - begin), kShotChunk));
+    // The chunked evaluation body shared by every stream/thread
+    // dispatch below: evaluate global shots [begin, end) using
+    // makeRng(s) for shot s's draws, leaving its stage times in
+    // `times`. A chunk samples up to kShotChunk shots shot-major —
+    // one realization per shot, or one per sweep point from the same
+    // draws — so its realizations line up with its rows, and one
+    // evalShots call evaluates them all.
+    auto range = [&](auto makeRng, std::size_t begin, std::size_t end,
+                     StageTimes &times) {
+        const std::size_t chunkShots = std::min<std::size_t>(
+            std::max<std::size_t>(1, end - begin), kShotChunk);
+        std::vector<FlatRealization> reals(chunkShots * npts);
         EvalScratch scratch;
         std::vector<double> fbuf, rbuf;
         if (summaryOnly) {
@@ -1133,7 +1137,12 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
             const Clock::time_point ts = Clock::now();
             for (std::size_t j = 0; j < nThis; ++j) {
                 auto &&rng = makeRng(base + j);
-                noise.sampleFlat(exec, rng, reals[j]);
+                if (spec.factors.empty())
+                    noise.sampleFlat(exec, rng, reals[j]);
+                else
+                    noise.sampleFlatSweep(exec, rng,
+                                          spec.factors.data(), npts,
+                                          reals.data() + j * npts);
             }
             scratch.times.sample += secondsSince(ts);
             double *fs = summaryOnly ? fbuf.data()
@@ -1141,104 +1150,69 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
             double *rs = summaryOnly
                              ? rbuf.data()
                              : part.reduced.data() + rowsAt(base);
-            evalShots(reals.data(), nThis, scratch, fs, rs);
+            evalShots(reals.data(), nThis * npts, scratch, fs, rs);
             if (summaryOnly) {
-                for (std::size_t j = 0; j < nThis; ++j) {
-                    aF[0] += fs[j];
-                    aF2[0] += fs[j] * fs[j];
-                    aR[0] += rs[j];
-                    aR2[0] += rs[j] * rs[j];
-                }
-            }
-        }
-        times = scratch.times;
-    };
-    auto sweepRange = [&](auto makeRng, std::size_t begin,
-                          std::size_t end, StageTimes &times) {
-        std::vector<FlatRealization> reals(npts);
-        EvalScratch scratch;
-        std::vector<double> fbuf, rbuf;
-        if (summaryOnly) {
-            fbuf.resize(npts);
-            rbuf.resize(npts);
-        }
-        for (std::size_t s = begin; s < end; ++s) {
-            const Clock::time_point ts = Clock::now();
-            auto &&rng = makeRng(s);
-            noise.sampleFlatSweep(exec, rng, spec.factors.data(), npts,
-                                  reals.data());
-            scratch.times.sample += secondsSince(ts);
-            // One shot's sweep points replay as one ensemble batch.
-            double *fs = summaryOnly ? fbuf.data()
-                                     : part.full.data() + rowsAt(s);
-            double *rs = summaryOnly ? rbuf.data()
-                                     : part.reduced.data() + rowsAt(s);
-            evalShots(reals.data(), npts, scratch, fs, rs);
-            if (summaryOnly) {
-                for (std::size_t j = 0; j < npts; ++j) {
-                    aF[j] += fs[j];
-                    aF2[j] += fs[j] * fs[j];
-                    aR[j] += rs[j];
-                    aR2[j] += rs[j] * rs[j];
+                // Each point's sums add its values in shot order.
+                for (std::size_t i = 0; i < nThis * npts; i += npts) {
+                    for (std::size_t j = 0; j < npts; ++j) {
+                        aF[j] += fs[i + j];
+                        aF2[j] += fs[i + j] * fs[i + j];
+                        aR[j] += rs[i + j];
+                        aR2[j] += rs[i + j] * rs[i + j];
+                    }
                 }
             }
         }
         times = scratch.times;
     };
 
-    // Stream / thread dispatch, shared by both bodies: one StageTimes
-    // slot per task, summed once every task has finished.
+    // Stream / thread dispatch: one StageTimes slot per task, summed
+    // once every task has finished.
     std::vector<StageTimes> taskTimes(std::max(1u, threads));
-    auto dispatch = [&](auto &&range) {
-        if (spec.stream == ShotStream::Sequential) {
-            // The sequential stream draws shots [0, shotEnd) in order
-            // from one Rng(seed); a shard not starting at 0
-            // fast-forwards by sampling-and-discarding the earlier
-            // shots. Exact — every sampler consumes a fixed number of
-            // uniforms per shot, and sampleFlat consumes the
-            // identical draw sequence as sampleFlatSweep, so it
-            // serves as the cheaper skipper for sweep shards too.
-            Rng rng(spec.seed);
-            FlatRealization skip;
-            for (std::size_t s = 0; s < spec.shotBegin; ++s)
-                noise.sampleFlat(exec, rng, skip);
-            range([&](std::size_t) -> Rng & { return rng; },
-                  spec.shotBegin, spec.shotEnd, taskTimes[0]);
-        } else if (threads <= 1) {
-            range([&](std::size_t s) {
-                      return CounterRng(spec.seed, s);
-                  },
-                  spec.shotBegin, spec.shotEnd, taskTimes[0]);
-        } else {
-            // In-process shards: each pool task evaluates a
-            // contiguous sub-range through the same counter streams.
-            // The persistent pool replaces the former per-call
-            // std::thread spawn/join, and TaskGroup::wait propagates
-            // the first worker exception instead of terminating.
-            TaskGroup group(poolFor(spec, threads));
-            const std::size_t chunk = (n + threads - 1) / threads;
-            for (unsigned t = 0; t < threads; ++t) {
-                const std::size_t begin =
-                    spec.shotBegin + std::size_t(t) * chunk;
-                const std::size_t end =
-                    std::min(begin + chunk, spec.shotEnd);
-                if (begin >= end)
-                    break;
-                StageTimes &slot = taskTimes[t];
-                group.run([&range, &spec, &slot, begin, end] {
-                    range([&spec](std::size_t s) {
-                              return CounterRng(spec.seed, s);
-                          },
-                          begin, end, slot);
-                });
-            }
-            group.wait();
+    if (spec.stream == ShotStream::Sequential) {
+        // The sequential stream draws shots [0, shotEnd) in order
+        // from one Rng(seed); a shard not starting at 0
+        // fast-forwards by sampling-and-discarding the earlier
+        // shots. Exact — every sampler consumes a fixed number of
+        // uniforms per shot, and sampleFlat consumes the
+        // identical draw sequence as sampleFlatSweep, so it
+        // serves as the cheaper skipper for sweep shards too.
+        Rng rng(spec.seed);
+        FlatRealization skip;
+        for (std::size_t s = 0; s < spec.shotBegin; ++s)
+            noise.sampleFlat(exec, rng, skip);
+        range([&](std::size_t) -> Rng & { return rng; },
+              spec.shotBegin, spec.shotEnd, taskTimes[0]);
+    } else if (threads <= 1) {
+        range([&](std::size_t s) {
+                  return CounterRng(spec.seed, s);
+              },
+              spec.shotBegin, spec.shotEnd, taskTimes[0]);
+    } else {
+        // In-process shards: each pool task evaluates a
+        // contiguous sub-range through the same counter streams.
+        // The persistent pool replaces the former per-call
+        // std::thread spawn/join, and TaskGroup::wait propagates
+        // the first worker exception instead of terminating.
+        TaskGroup group(poolFor(spec, threads));
+        const std::size_t chunk = (n + threads - 1) / threads;
+        for (unsigned t = 0; t < threads; ++t) {
+            const std::size_t begin =
+                spec.shotBegin + std::size_t(t) * chunk;
+            const std::size_t end =
+                std::min(begin + chunk, spec.shotEnd);
+            if (begin >= end)
+                break;
+            StageTimes &slot = taskTimes[t];
+            group.run([&range, &spec, &slot, begin, end] {
+                range([&spec](std::size_t s) {
+                          return CounterRng(spec.seed, s);
+                      },
+                      begin, end, slot);
+            });
         }
-    };
-    if (spec.factors.empty())
-        dispatch(plainRange);
-    else
-        dispatch(sweepRange);
+        group.wait();
+    }
 
     {
         PipelineStats st;

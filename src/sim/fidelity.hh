@@ -179,7 +179,8 @@ class FidelityEstimator
      *    decoded once and applied to all shots' rows in one
      *    contiguous block-kernel sweep;
      *  - Scalar: the path-by-path oracle kept for differential tests
-     *    and as the perf baseline of the recorded ensemble speedup.
+     *    and as the perf baseline of the recorded ensemble speedup
+     *    (bench_simulator); no CLI flag or shard spec selects it.
      */
     enum class ReplayEngine { Ensemble, Scalar };
 
@@ -244,10 +245,11 @@ class FidelityEstimator
      * scale factor, with every sweep point of a shot built from the
      * SAME uniform draws (NoiseModel::sampleFlatSweep — common random
      * numbers, so the sweep is smooth in the factor and the sampling
-     * cost is paid once per shot instead of once per point). The
-     * points of a shot are replayed as one batched ensemble pass.
-     * A single factor f reproduces estimate() with all rates scaled
-     * by f bit for bit.
+     * cost is paid once per shot instead of once per point). Shots
+     * are sampled in chunks, one realization per point, and a
+     * chunk's general realizations replay in batched ensemble passes
+     * like estimate()'s. A single factor f reproduces estimate()
+     * with all rates scaled by f bit for bit.
      */
     std::vector<FidelityResult>
     estimateSweep(const NoiseModel &noise,
@@ -270,8 +272,8 @@ class FidelityEstimator
      * Mersenne stream by sampling-and-discarding the preceding
      * shots' draws (noise samplers consume a fixed draw count per
      * shot); Counter shards start at their first shot for free.
-     * Replay-engine / SIMD-tier pins are NOT applied here (this
-     * method is const) — orchestrators call applyShardPins first.
+     * The SIMD-tier pin is NOT applied here (this method is const)
+     * — orchestrators call applyShardPins first.
      */
     PartialEstimate runShard(const NoiseModel &noise,
                              const ShardSpec &spec) const;

@@ -173,19 +173,14 @@ struct CompiledEntry
 };
 
 /** The resident-estimator identity: everything that changes the
- *  OBJECT (not the result — results are engine-invariant, which is
- *  why the engine is absent from the result key). The engine enters
- *  as the resolved pin, so "--engine ensemble" and no --engine share
- *  one estimator. */
+ *  OBJECT, the compiled circuit and its checkpoints. */
 std::string
-compiledCacheKey(const tool::RunOptions &opt, ReplayPin replay)
+compiledCacheKey(const tool::RunOptions &opt)
 {
     char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "arch=%s;m=%u;k=%u;mem-seed=%llu;engine=%s",
+    std::snprintf(buf, sizeof buf, "arch=%s;m=%u;k=%u;mem-seed=%llu",
                   opt.w.arch.c_str(), opt.w.m, opt.w.k,
-                  static_cast<unsigned long long>(opt.w.memSeed),
-                  replay == ReplayPin::Scalar ? "scalar" : "ensemble");
+                  static_cast<unsigned long long>(opt.w.memSeed));
     return buf;
 }
 
@@ -260,8 +255,7 @@ Server::handle(const std::vector<std::string> &args)
                      std::to_string(cfg_.maxShots));
 
     ShardSpec spec;
-    if (!tool::cutShardSpec(opt, spec, &why))
-        return usage(why);
+    tool::cutShardSpec(opt, spec);
 
     const std::string key = tool::resultCacheKey(opt, spec);
     ShardResponse resp;
@@ -293,7 +287,7 @@ Server::handle(const std::vector<std::string> &args)
 
     CompiledCache::Result res;
     const bool built = compiled_.acquire(
-        compiledCacheKey(opt, spec.replay),
+        compiledCacheKey(opt),
         [&](std::string *berr) -> std::shared_ptr<void> {
             try {
                 auto e = std::make_shared<CompiledEntry>();
@@ -302,10 +296,6 @@ Server::handle(const std::vector<std::string> &args)
                     e->qc.circuit, e->qc.addressQubits, e->qc.busQubit,
                     AddressSuperposition::uniform(
                         opt.w.addressWidth()));
-                // Engine pins mutate the estimator, which is only
-                // legal here, before the entry is shared: once
-                // resident it runs concurrent disjoint shards.
-                applyShardPins(*e->est, spec);
                 return e;
             } catch (const std::exception &ex) {
                 if (berr)

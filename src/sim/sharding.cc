@@ -49,12 +49,8 @@ parseShotStream(const std::string &name, ShotStream &out)
 }
 
 void
-applyShardPins(FidelityEstimator &est, const ShardSpec &spec)
+applyShardPins(FidelityEstimator &, const ShardSpec &spec)
 {
-    if (spec.replay == ReplayPin::Ensemble)
-        est.setReplayEngine(FidelityEstimator::ReplayEngine::Ensemble);
-    else if (spec.replay == ReplayPin::Scalar)
-        est.setReplayEngine(FidelityEstimator::ReplayEngine::Scalar);
     if (!spec.simdTier.empty()) {
         simd::Tier t = simd::Tier::Scalar;
         if (spec.simdTier == "scalar")

@@ -10,9 +10,9 @@
  *
  *  - **Plan** — SweepPlan::partition splits a shot budget into N
  *    ShardSpecs (contiguous global shot ranges plus the shared seed,
- *    sweep factors, stream kind, and optional replay-engine / SIMD
- *    tier pins). Specs are plain data: serialize them, mail them to
- *    another process or host, hand them to any job runner.
+ *    sweep factors, stream kind, and an optional SIMD tier pin).
+ *    Specs are plain data: serialize them, mail them to another
+ *    process or host, hand them to any job runner.
  *
  *  - **Execute** — FidelityEstimator::runShard evaluates one spec and
  *    returns a PartialEstimate: the per-shot fidelity rows of the
@@ -96,11 +96,6 @@ const char *shotStreamName(ShotStream s);
 
 /** Parse a stream name; returns false on an unknown name. */
 bool parseShotStream(const std::string &name, ShotStream &out);
-
-/** Optional replay-engine pin carried by a ShardSpec ("ensemble" =
- *  the default op-major block replay, "scalar" = the path-by-path
- *  oracle). */
-enum class ReplayPin : std::uint8_t { Keep = 0, Ensemble, Scalar };
 
 /**
  * Which estimation policy a shard runs under.
@@ -191,9 +186,6 @@ struct ShardSpec
      */
     ThreadPool *pool = nullptr;
 
-    /** Replay-engine pin applied by applyShardPins. */
-    ReplayPin replay = ReplayPin::Keep;
-
     /** SIMD tier pin ("", "scalar", "avx2", "avx512"). */
     std::string simdTier;
 
@@ -219,10 +211,10 @@ struct ShardSpec
 };
 
 /**
- * Apply a spec's replay-engine / SIMD-tier pins to the estimator and
- * the process-wide kernel dispatch. Panics on an unknown tier name.
- * (Separate from runShard so the const estimator can execute specs
- * without mutating; orchestrators call this once per process.)
+ * Apply a spec's SIMD-tier pin to the process-wide kernel dispatch.
+ * Panics on an unknown tier name. The only pin left is process-wide,
+ * so @p est is not modified. (Separate from runShard, which is const;
+ * orchestrators call this once per process.)
  */
 void applyShardPins(FidelityEstimator &est, const ShardSpec &spec);
 

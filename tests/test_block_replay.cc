@@ -4,15 +4,15 @@
  * the estimator's block accumulation).
  *
  * The transposed engine's contract is byte-identity: every shot of an
- * op-major block replay must equal its solo runSpanEnsemble replay —
- * bits and phases — and the estimator must produce bit-identical
- * results through ReplayEngine::Ensemble (op-major) and Scalar
- * (path-by-path oracle) at every replay-batch width in [1, 64],
- * across architectures, noise kinds, SIMD tiers, checkpoint joins,
- * ragged tail batches, degenerate inputs and the threaded shot
+ * op-major block replay must equal the scalar engine's runSpan, path
+ * by path — bits and phases — and the estimator must produce
+ * bit-identical results through ReplayEngine::Ensemble (op-major) and
+ * Scalar (path-by-path oracle) at every replay-batch width in
+ * [1, 64], across architectures, noise kinds, SIMD tiers, checkpoint
+ * joins, ragged tail batches, degenerate inputs and the threaded shot
  * loop. Plus the EnsembleBlock layout invariants the block kernels
- * assume and kernel-level differentials for the block kernel tier
- * implementations.
+ * assume and kernel-level differentials of every tier's block
+ * kernels against plain reference loops.
  */
 
 #include <gtest/gtest.h>
@@ -158,10 +158,21 @@ TEST(EnsembleBlock, LoadShotRoundTripsAndPadsStayZero)
 
 // --- Block kernel differentials ---------------------------------------
 
+/** The fire mask of word @p w, written out plainly (simd.hh). */
+std::uint64_t
+refFire(const simd::AlignedWords &rows, std::size_t stride,
+        const EnsembleCtrl *ctrls, std::size_t nc,
+        const simd::AlignedWords &bmask, std::size_t w)
+{
+    std::uint64_t fire = bmask[w];
+    for (std::size_t c = 0; c < nc; ++c)
+        fire &= rows[ctrls[c].qubit * stride + w] ^ ctrls[c].invert;
+    return fire;
+}
+
 TEST(BlockKernels, MatchScalarReferenceAcrossTiers)
 {
     Rng rng(424242);
-    const simd::RowKernels &S = simd::kernels(simd::Tier::Scalar);
 
     for (simd::Tier tier : supportedTiers()) {
         SCOPED_TRACE(simd::tierName(tier));
@@ -169,7 +180,9 @@ TEST(BlockKernels, MatchScalarReferenceAcrossTiers)
 
         for (int trial = 0; trial < 120; ++trial) {
             // Arena shapes: pw a multiple of kRowAlignWords (the
-            // EnsembleBlock contract), 1..6 shots, 5 block rows.
+            // EnsembleBlock contract), 1..6 shots, 5 block rows. pw of
+            // 16 and 24 take the per-row fallback of the row-flip and
+            // deviation kernels; 8 takes their one-line fast path.
             const std::size_t pw =
                 simd::kRowAlignWords * (1 + rng.below(3));
             const std::size_t ns = 1 + rng.below(6);
@@ -193,80 +206,76 @@ TEST(BlockKernels, MatchScalarReferenceAcrossTiers)
                             rng.bernoulli(0.5) ? ~std::uint64_t(0)
                                                : std::uint64_t(0)};
 
-            // xorFireBlock
+            // xorFireBlock: target[w] ^= fire(w).
             simd::AlignedWords a(nw), b(nw);
             for (std::size_t w = 0; w < nw; ++w)
                 a[w] = b[w] = rng.bits();
-            S.xorFireBlock(a.data(), rows.data(), nw, ctrls, nc,
-                           bmask.data(), nw);
-            K.xorFireBlock(b.data(), rows.data(), nw, ctrls, nc,
-                           bmask.data(), nw);
-            EXPECT_EQ(a, b);
-
-            // The block fire kernel must equal the ROW fire kernel on
-            // the same operands (same arithmetic, fused layout).
             for (std::size_t w = 0; w < nw; ++w)
-                b[w] = a[w];
-            S.xorFire(a.data(), rows.data(), nw, ctrls, nc,
-                      bmask.data(), nw);
+                a[w] ^= refFire(rows, nw, ctrls, nc, bmask, w);
             K.xorFireBlock(b.data(), rows.data(), nw, ctrls, nc,
                            bmask.data(), nw);
             EXPECT_EQ(a, b);
 
-            // swapFireBlock
+            // swapFireBlock: the two rows trade their firing bits.
             simd::AlignedWords a0(nw), a1(nw), b0(nw), b1(nw);
             for (std::size_t w = 0; w < nw; ++w) {
                 a0[w] = b0[w] = rng.bits();
                 a1[w] = b1[w] = rng.bits();
             }
-            S.swapFireBlock(a0.data(), a1.data(), rows.data(), nw,
-                            ctrls, nc, bmask.data(), nw);
+            for (std::size_t w = 0; w < nw; ++w) {
+                const std::uint64_t d =
+                    (a0[w] ^ a1[w]) &
+                    refFire(rows, nw, ctrls, nc, bmask, w);
+                a0[w] ^= d;
+                a1[w] ^= d;
+            }
             K.swapFireBlock(b0.data(), b1.data(), rows.data(), nw,
                             ctrls, nc, bmask.data(), nw);
             EXPECT_EQ(a0, b0);
             EXPECT_EQ(a1, b1);
 
-            // xorRowBlock: broadcast of one pw-word row into every
-            // slice == per-slice xorRow.
+            // xorRowBlock: one pw-word row XORed into every slice.
             simd::AlignedWords src(pw);
             for (auto &w : src)
                 w = rng.bits();
             for (std::size_t w = 0; w < nw; ++w)
                 a[w] = b[w] = rng.bits();
-            for (std::size_t s = 0; s < ns; ++s)
-                S.xorRow(a.data() + s * pw, src.data(), pw);
+            for (std::size_t w = 0; w < nw; ++w)
+                a[w] ^= src[w % pw];
             K.xorRowBlock(b.data(), src.data(), pw, ns);
             EXPECT_EQ(a, b);
 
-            // diffOrBlock: per-slice diffOr against one shared row,
-            // including the per-shot any flags.
+            // diffOrBlock: per-slice deviation against one shared row,
+            // including the per-shot OR of the diffs.
             simd::AlignedWords devA(nw), devB(nw);
             for (std::size_t w = 0; w < nw; ++w)
                 devA[w] = devB[w] = rng.bits();
-            std::vector<std::uint64_t> anyA(ns), anyB(ns);
-            for (std::size_t s = 0; s < ns; ++s)
-                anyA[s] = S.diffOr(devA.data() + s * pw,
-                                   rows.data() + s * pw, src.data(),
-                                   pw);
+            std::vector<std::uint64_t> anyA(ns, 0), anyB(ns);
+            for (std::size_t w = 0; w < nw; ++w) {
+                const std::uint64_t d = rows[w] ^ src[w % pw];
+                devA[w] |= d;
+                anyA[w / pw] |= d;
+            }
             K.diffOrBlock(devB.data(), rows.data(), src.data(), pw,
                           ns, anyB.data());
             EXPECT_EQ(devA, devB);
-            for (std::size_t s = 0; s < ns; ++s) {
-                // diffOr returns the OR of diffs; diffOrBlock's any
-                // flag must agree on zero/nonzero AND exact value.
-                EXPECT_EQ(anyA[s], anyB[s]) << "slice " << s;
-            }
+            EXPECT_EQ(anyA, anyB);
+
+            // A slice equal to the shared row reports no deviation.
+            K.diffOrBlock(devB.data(), src.data(), src.data(), pw, 1,
+                          anyB.data());
+            EXPECT_EQ(anyB[0], 0u);
         }
     }
 }
 
-// --- Executor-level: op-major vs per-shot replay ----------------------
+// --- Executor-level: op-major vs per-path replay ----------------------
 
 /**
- * Drive runSpanEnsembleBlock over a batch of shots and runSpanEnsemble
- * over each shot alone (random start ensembles advanced to per-shot
- * join positions, per-shot event lists) and require every shot's bits
- * and phases to match word for word and value for value.
+ * Drive runSpanEnsembleBlock over a batch of shots (random start
+ * states advanced to per-shot join positions, per-shot event lists)
+ * and require every shot's bits and phases to match the scalar path
+ * engine — runSpan, path by path — word for word and value for value.
  */
 void
 expectBlockMatchesPerShot(const FeynmanExecutor &exec,
@@ -279,36 +288,41 @@ expectBlockMatchesPerShot(const FeynmanExecutor &exec,
         static_cast<std::uint32_t>(exec.stream().size());
     const std::size_t n = froms.size();
 
-    // Random inputs advanced (noiselessly) to each shot's join
-    // position — the checkpoint-gather shape of the estimator.
-    std::vector<PathEnsemble> soloEns;
+    // Random inputs advanced (noiselessly, by the scalar engine) to
+    // each shot's join position — the checkpoint-gather shape of the
+    // estimator.
+    std::vector<std::vector<PathState>> paths(n);
     EnsembleBlock blk;
     blk.reshape(nq, np, n);
     std::vector<FeynmanExecutor::BlockReplayShot> shots(n);
     for (std::size_t b = 0; b < n; ++b) {
         PathEnsemble e(nq, np);
-        for (std::size_t q = 0; q < nq; ++q)
-            for (std::size_t w = 0; w < e.wordsPerQubit(); ++w)
-                e.row(q)[w] = rng.bits() & e.validMask(w);
-        exec.runSpanEnsemble(e, 0, froms[b], nullptr, 0);
+        for (std::size_t k = 0; k < np; ++k) {
+            PathState p(nq);
+            for (std::size_t q = 0; q < nq; ++q)
+                p.bits.set(q, rng.bernoulli(0.5));
+            exec.runSpan(p, 0, froms[b], nullptr, 0);
+            e.scatterPath(k, p.bits, p.phase);
+            paths[b].push_back(std::move(p));
+        }
         blk.loadShot(b, e);
         shots[b] = {evs[b].data(), evs[b].size(), froms[b], 0};
-        soloEns.push_back(std::move(e));
     }
 
     exec.runSpanEnsembleBlock(blk, shots.data(), numOps);
 
+    BitVec got(nq);
     for (std::size_t b = 0; b < n; ++b) {
         SCOPED_TRACE(testing::Message() << "shot " << b);
-        exec.runSpanEnsemble(soloEns[b], froms[b], numOps,
-                             evs[b].data(), evs[b].size());
-        for (std::size_t q = 0; q < nq; ++q)
-            for (std::size_t w = 0; w < blk.wordsPerQubit(); ++w)
-                EXPECT_EQ(blk.row(q, b)[w], soloEns[b].row(q)[w])
-                    << "q=" << q << " w=" << w;
-        for (std::size_t k = 0; k < np; ++k)
-            EXPECT_EQ(blk.phaseSlice(b)[k], soloEns[b].phase(k))
-                << "path " << k;
+        for (std::size_t k = 0; k < np; ++k) {
+            PathState &p = paths[b][k];
+            exec.runSpan(p, froms[b], numOps, evs[b].data(),
+                         evs[b].size());
+            for (std::size_t q = 0; q < nq; ++q)
+                got.set(q, blk.get(q, b, k));
+            EXPECT_EQ(got, p.bits) << "path " << k;
+            EXPECT_EQ(blk.phaseSlice(b)[k], p.phase) << "path " << k;
+        }
         // Zero-tail invariant holds through the block replay.
         for (std::size_t q = 0; q < nq; ++q)
             for (std::size_t w = 0; w < blk.wordsPerQubit(); ++w)

@@ -18,12 +18,14 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -1321,29 +1323,64 @@ const char kWorkload[] =
     " --arch bb --m 4 --noise gate-depol --eps 2e-3 --shots 48 "
     "--seed 2023 --factors 0.5,1,2";
 
-/** Launch a background process via the shell, pid on file. */
-void
-startBg(const std::string &cmd, const std::string &pidFile,
-        const std::string &log)
+/**
+ * A background process the test owns: forked here and exec'd through
+ * `sh -c 'exec CMD > LOG 2>&1'` (the shell only applies the redirect,
+ * then becomes CMD under the same pid; env prefixes go through
+ * `env`). wait() reaps it with waitpid, so no wait ever watches a
+ * zombie, and scope exit kills and reaps whatever is still running.
+ */
+class Child
 {
-    ASSERT_EQ(0, shCode(cmd + " > " + log + " 2>&1 & echo $! > " +
-                        pidFile));
-}
+  public:
+    Child(const std::string &cmd, const std::string &log)
+    {
+        const std::string line = "exec " + cmd + " > " + log + " 2>&1";
+        pid_ = ::fork();
+        if (pid_ == 0) {
+            ::execl("/bin/sh", "sh", "-c", line.c_str(),
+                    static_cast<char *>(nullptr));
+            ::_exit(127);
+        }
+        EXPECT_GT(pid_, 0) << "fork failed for: " << cmd;
+    }
 
-void
-killPid(const std::string &pidFile, const char *sig = "-TERM")
-{
-    shCode("kill " + std::string(sig) + " $(cat " + pidFile +
-           ") 2>/dev/null; true");
-}
+    Child(const Child &) = delete;
+    Child &operator=(const Child &) = delete;
 
-/** Block until the process named by @p pidFile exits. */
-int
-waitPidFile(const std::string &dir, const std::string &pidFile)
-{
-    return shCode("while kill -0 $(cat " + dir + "/" + pidFile +
-                  ") 2>/dev/null; do sleep 0.1; done");
-}
+    ~Child()
+    {
+        signal(SIGKILL);
+        wait();
+    }
+
+    /** Send @p sig; a no-op once the child is reaped. */
+    void
+    signal(int sig)
+    {
+        if (pid_ > 0)
+            ::kill(pid_, sig);
+    }
+
+    /** Reap the child: its exit code, or 128 + the killing signal. */
+    int
+    wait()
+    {
+        if (pid_ > 0) {
+            int st = 0;
+            while (::waitpid(pid_, &st, 0) < 0 && errno == EINTR) {
+            }
+            pid_ = -1;
+            code_ = WIFEXITED(st) ? WEXITSTATUS(st)
+                                  : 128 + WTERMSIG(st);
+        }
+        return code_;
+    }
+
+  private:
+    pid_t pid_ = -1;
+    int code_ = -1;
+};
 
 bool
 waitSocket(const std::string &sock)
@@ -1383,17 +1420,17 @@ TEST(BrokerCli, DriveBrokerIsByteIdenticalToForkExec)
     ASSERT_FALSE(ref.empty());
 
     const std::string sock = dir + "/broker.sock";
-    startBg(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
-                " --state " + dir + "/state --heartbeat 0.2" +
-                " --stats-out " + dir + "/stats.json",
-            dir + "/broker.pid", dir + "/broker.log");
+    Child broker(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
+                     " --state " + dir + "/state --heartbeat 0.2" +
+                     " --stats-out " + dir + "/stats.json",
+                 dir + "/broker.log");
     ASSERT_TRUE(waitSocket(sock));
-    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
-                " --name w1",
-            dir + "/w1.pid", dir + "/w1.log");
-    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
-                " --name w2",
-            dir + "/w2.pid", dir + "/w2.log");
+    Child w1(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                 " --name w1",
+             dir + "/w1.log");
+    Child w2(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                 " --name w2",
+             dir + "/w2.log");
 
     ASSERT_EQ(0, shCode(drive + " --job " + dir + "/brokered" +
                         " --broker " + sock + kWorkload +
@@ -1406,9 +1443,9 @@ TEST(BrokerCli, DriveBrokerIsByteIdenticalToForkExec)
     EXPECT_NE(std::string::npos,
               report.find("\"broker_transport_failures\": 0"));
 
-    killPid(dir + "/w1.pid");
-    killPid(dir + "/w2.pid");
-    killPid(dir + "/broker.pid");
+    w1.signal(SIGTERM);
+    w2.signal(SIGTERM);
+    broker.signal(SIGTERM);
     const std::string stats = waitStats(dir);
     EXPECT_NE(std::string::npos,
               stats.find("\"commits_accepted\": 6"))
@@ -1453,13 +1490,13 @@ TEST(BrokerCli, AdaptiveJobIsNotAnsweredByItsReplayTwin)
     ASSERT_FALSE(ref.empty());
 
     const std::string sock = dir + "/broker.sock";
-    startBg(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
-                " --heartbeat 0.2",
-            dir + "/broker.pid", dir + "/broker.log");
+    Child broker(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
+                     " --heartbeat 0.2",
+                 dir + "/broker.log");
     ASSERT_TRUE(waitSocket(sock));
-    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
-                " --name w1",
-            dir + "/w1.pid", dir + "/w1.log");
+    Child w1(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                 " --name w1",
+             dir + "/w1.log");
     const std::string drive =
         std::string(QRAMSIM_DRIVE_BIN) + " --worker-bin " +
         QRAMSIM_SHARD_BIN + " --shards 4 --broker " + sock;
@@ -1468,8 +1505,8 @@ TEST(BrokerCli, AdaptiveJobIsNotAnsweredByItsReplayTwin)
     const int adaptiveRc = shCode(drive + " --job " + dir +
                                   "/adaptive" + adaptive +
                                   " > /dev/null 2>&1");
-    killPid(dir + "/w1.pid");
-    killPid(dir + "/broker.pid");
+    w1.signal(SIGTERM);
+    broker.signal(SIGTERM);
     ASSERT_EQ(0, replayRc);
     ASSERT_EQ(0, adaptiveRc);
 
@@ -1494,31 +1531,31 @@ TEST(BrokerCli, KilledWorkerIsStolenByteIdentically)
                         " > /dev/null 2>&1"));
 
     const std::string sock = dir + "/broker.sock";
-    startBg(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
-                " --state " + dir + "/state --heartbeat 0.2" +
-                " --stats-out " + dir + "/stats.json",
-            dir + "/broker.pid", dir + "/broker.log");
+    Child broker(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
+                     " --state " + dir + "/state --heartbeat 0.2" +
+                     " --stats-out " + dir + "/stats.json",
+                 dir + "/broker.log");
     ASSERT_TRUE(waitSocket(sock));
     // ONLY the doomed worker at first: it must win shard 0 (global
     // shot 0), SIGKILL itself holding the lease, and leave the
     // broker to declare it dead and steal the shard back.
-    startBg("QRAMSIM_FAULT=kill-on-pull:0 QRAMSIM_FAULT_MARK=" + dir +
-                "/mark " QRAMSIM_SERVER_BIN " --broker " + sock +
-                " --name doomed",
-            dir + "/w1.pid", dir + "/w1.log");
-    startBg(drive + " --job " + dir + "/stolen --broker " + sock +
-                kWorkload,
-            dir + "/drive.pid", dir + "/drive.log");
+    Child w1("env QRAMSIM_FAULT=kill-on-pull:0 QRAMSIM_FAULT_MARK=" + dir +
+                 "/mark " QRAMSIM_SERVER_BIN " --broker " + sock +
+                 " --name doomed",
+             dir + "/w1.log");
+    Child client(drive + " --job " + dir + "/stolen --broker " + sock +
+                     kWorkload,
+                 dir + "/drive.log");
     std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
-                " --name rescuer",
-            dir + "/w2.pid", dir + "/w2.log");
-    ASSERT_EQ(0, waitPidFile(dir, "drive.pid"));
+    Child w2(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                 " --name rescuer",
+             dir + "/w2.log");
+    ASSERT_EQ(0, client.wait());
     EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
               readFileStr(dir + "/stolen/result.json"));
 
-    killPid(dir + "/w2.pid");
-    killPid(dir + "/broker.pid");
+    w2.signal(SIGTERM);
+    broker.signal(SIGTERM);
     const std::string stats = waitStats(dir);
     EXPECT_EQ(std::string::npos, stats.find("\"steals\": 0"))
         << "the kill must surface as a steal: " << stats;
@@ -1542,18 +1579,18 @@ TEST(BrokerCli, SigkilledBrokerResumesFromJournalByteIdentically)
     const std::string bcmd = std::string(QRAMSIM_BROKER_BIN) +
                              " --socket " + sock + " --state " + dir +
                              "/state --heartbeat 0.2";
-    startBg(bcmd, dir + "/broker.pid", dir + "/broker.log");
+    Child broker(bcmd, dir + "/broker.log");
     ASSERT_TRUE(waitSocket(sock));
-    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
-                " --name w1",
-            dir + "/w1.pid", dir + "/w1.log");
+    Child w1(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                 " --name w1",
+             dir + "/w1.log");
     // First run seeds the journal (some or all shards commit), then
     // the broker is SIGKILLed — the torn-crash shape.
-    startBg(drive + " --job " + dir + "/resumed --broker " + sock +
-                " --broker-stall 30" + kWorkload,
-            dir + "/drive.pid", dir + "/drive.log");
+    Child client(drive + " --job " + dir + "/resumed --broker " + sock +
+                     " --broker-stall 30" + kWorkload,
+                 dir + "/drive.log");
     std::this_thread::sleep_for(std::chrono::milliseconds(700));
-    killPid(dir + "/broker.pid", "-KILL");
+    broker.signal(SIGKILL);
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     ASSERT_FALSE(
         readFileStr(brk::Broker::journalPath(dir + "/state"))
@@ -1561,17 +1598,17 @@ TEST(BrokerCli, SigkilledBrokerResumesFromJournalByteIdentically)
         << "the journal must survive the SIGKILL";
     // Restart with --resume: replay, re-adopt the live worker, and
     // finish every in-flight job.
-    startBg(bcmd + " --resume --stats-out " + dir + "/stats.json",
-            dir + "/broker2.pid", dir + "/broker2.log");
+    Child broker2(bcmd + " --resume --stats-out " + dir + "/stats.json",
+                  dir + "/broker2.log");
     ASSERT_TRUE(waitSocket(sock));
-    ASSERT_EQ(0, waitPidFile(dir, "drive.pid"));
+    ASSERT_EQ(0, client.wait());
     // Whether the drive streamed everything from the broker or fell
     // back for the tail, the merged result must not change.
     EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
               readFileStr(dir + "/resumed/result.json"));
 
-    killPid(dir + "/w1.pid");
-    killPid(dir + "/broker2.pid");
+    w1.signal(SIGTERM);
+    broker2.signal(SIGTERM);
     EXPECT_NE(std::string::npos,
               waitStats(dir).find("\"duplicate_mismatches\": 0"));
 }
@@ -1589,29 +1626,29 @@ TEST(BrokerCli, JournalTruncateFaultTearsKillsAndRecovers)
     // journal-truncate:0 — the broker writes HALF of the journal
     // line committing the shard that covers global shot 0, fsyncs,
     // and SIGKILLs itself. The deterministic power-loss drill.
-    startBg("QRAMSIM_FAULT=journal-truncate:0 QRAMSIM_FAULT_MARK=" +
-                dir + "/mark " QRAMSIM_BROKER_BIN " --socket " +
-                sock + " --state " + dir + "/state --heartbeat 0.2",
-            dir + "/broker.pid", dir + "/broker.log");
+    Child broker("env QRAMSIM_FAULT=journal-truncate:0 QRAMSIM_FAULT_MARK=" +
+                     dir + "/mark " QRAMSIM_BROKER_BIN " --socket " +
+                     sock + " --state " + dir + "/state --heartbeat 0.2",
+                 dir + "/broker.log");
     ASSERT_TRUE(waitSocket(sock));
-    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
-                " --name w1",
-            dir + "/w1.pid", dir + "/w1.log");
-    startBg(drive + " --job " + dir + "/torn --broker " + sock +
-                " --broker-stall 30" + kWorkload,
-            dir + "/drive.pid", dir + "/drive.log");
+    Child w1(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                 " --name w1",
+             dir + "/w1.log");
+    Child client(drive + " --job " + dir + "/torn --broker " + sock +
+                     " --broker-stall 30" + kWorkload,
+                 dir + "/drive.log");
     // The fault fires on the doomed commit and kills the broker.
-    ASSERT_EQ(0, waitPidFile(dir, "broker.pid"));
-    startBg(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
-                " --state " + dir + "/state --heartbeat 0.2 " +
-                "--resume --stats-out " + dir + "/stats.json",
-            dir + "/broker2.pid", dir + "/broker2.log");
+    EXPECT_EQ(128 + SIGKILL, broker.wait());
+    Child broker2(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
+                      " --state " + dir + "/state --heartbeat 0.2 " +
+                      "--resume --stats-out " + dir + "/stats.json",
+                  dir + "/broker2.log");
     ASSERT_TRUE(waitSocket(sock));
-    ASSERT_EQ(0, waitPidFile(dir, "drive.pid"));
+    ASSERT_EQ(0, client.wait());
     EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
               readFileStr(dir + "/torn/result.json"));
-    killPid(dir + "/w1.pid");
-    killPid(dir + "/broker2.pid");
+    w1.signal(SIGTERM);
+    broker2.signal(SIGTERM);
     const std::string stats = waitStats(dir);
     // The torn line was dropped on replay (its shard recomputed);
     // nothing may have diverged.
@@ -1649,25 +1686,25 @@ TEST(BrokerCli, ParkedDriveRidesOutABrokerRestartInsideTheWindow)
     const std::string bcmd = std::string(QRAMSIM_BROKER_BIN) +
                              " --socket " + sock + " --state " + dir +
                              "/state";
-    startBg(bcmd, dir + "/broker.pid", dir + "/broker.log");
+    Child broker(bcmd, dir + "/broker.log");
     ASSERT_TRUE(waitSocket(sock));
     // No worker yet: the job is journaled and the drive parks in poll.
-    startBg(drive + " --job " + dir + "/ride --broker " + sock +
-                kWorkload,
-            dir + "/drive.pid", dir + "/drive.log");
+    Child client(drive + " --job " + dir + "/ride --broker " + sock +
+                     kWorkload,
+                 dir + "/drive.log");
     ASSERT_TRUE(waitJournaled(dir + "/state"));
     sleepMs(200);
-    killPid(dir + "/broker.pid", "-KILL");
+    broker.signal(SIGKILL);
     sleepMs(300); // an outage no poll can slip past
-    startBg(bcmd + " --resume --stats-out " + dir + "/stats.json",
-            dir + "/broker2.pid", dir + "/broker2.log");
+    Child broker2(bcmd + " --resume --stats-out " + dir + "/stats.json",
+                  dir + "/broker2.log");
     ASSERT_TRUE(waitSocket(sock));
-    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
-                " --name w1",
-            dir + "/w1.pid", dir + "/w1.log");
-    ASSERT_EQ(0, waitPidFile(dir, "drive.pid"));
-    killPid(dir + "/w1.pid");
-    killPid(dir + "/broker2.pid");
+    Child w1(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                 " --name w1",
+             dir + "/w1.log");
+    ASSERT_EQ(0, client.wait());
+    w1.signal(SIGTERM);
+    broker2.signal(SIGTERM);
 
     EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
               readFileStr(dir + "/ride/result.json"));
@@ -1692,17 +1729,17 @@ TEST(BrokerCli, BrokerGoneForGoodFallsBackAfterTheWindow)
 
     // --heartbeat 0.2: a 0.6 s window before the fork/exec fallback.
     const std::string sock = dir + "/broker.sock";
-    startBg(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
-                " --state " + dir + "/state --heartbeat 0.2",
-            dir + "/broker.pid", dir + "/broker.log");
+    Child broker(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock +
+                     " --state " + dir + "/state --heartbeat 0.2",
+                 dir + "/broker.log");
     ASSERT_TRUE(waitSocket(sock));
-    startBg(drive + " --job " + dir + "/gone --broker " + sock +
-                kWorkload,
-            dir + "/drive.pid", dir + "/drive.log");
+    Child client(drive + " --job " + dir + "/gone --broker " + sock +
+                     kWorkload,
+                 dir + "/drive.log");
     ASSERT_TRUE(waitJournaled(dir + "/state"));
     sleepMs(200);
-    killPid(dir + "/broker.pid", "-KILL");
-    ASSERT_EQ(0, waitPidFile(dir, "drive.pid"));
+    broker.signal(SIGKILL);
+    ASSERT_EQ(0, client.wait());
 
     EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
               readFileStr(dir + "/gone/result.json"));
@@ -1729,12 +1766,12 @@ TEST(BrokerCli, OneWorkerDrainsManyShardsWithoutPerShardWaits)
                         many + " > /dev/null 2>&1"));
 
     const std::string sock = dir + "/broker.sock";
-    startBg(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock,
-            dir + "/broker.pid", dir + "/broker.log");
+    Child broker(std::string(QRAMSIM_BROKER_BIN) + " --socket " + sock,
+                 dir + "/broker.log");
     ASSERT_TRUE(waitSocket(sock));
-    startBg(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
-                " --name w1",
-            dir + "/w1.pid", dir + "/w1.log");
+    Child w1(std::string(QRAMSIM_SERVER_BIN) + " --broker " + sock +
+                 " --name w1",
+             dir + "/w1.log");
     bool pulling = false;
     for (int i = 0; i < 250 && !pulling; ++i) {
         pulling = readFileStr(dir + "/w1.log").find("pulling") !=
@@ -1750,8 +1787,8 @@ TEST(BrokerCli, OneWorkerDrainsManyShardsWithoutPerShardWaits)
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-    killPid(dir + "/w1.pid");
-    killPid(dir + "/broker.pid");
+    w1.signal(SIGTERM);
+    broker.signal(SIGTERM);
     ASSERT_EQ(0, rc);
     EXPECT_EQ(readFileStr(dir + "/ref/result.json"),
               readFileStr(dir + "/many/result.json"));

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the common substrate: BitVec, Rng, Table.
+ * Unit tests for the common substrate: BitVec, Rng, Table, JSON
+ * strings.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <random>
 
 #include "common/bitvec.hh"
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
 
@@ -243,6 +245,91 @@ TEST(Table, CsvFailsOnBadPath)
 {
     Table t("demo", {"x"});
     EXPECT_FALSE(t.writeCsv("/nonexistent-dir-xyz/t.csv"));
+}
+
+// --- JSON strings --------------------------------------------------------
+
+std::string
+escaped(const std::string &v)
+{
+    std::string s;
+    json::appendEscaped(s, v);
+    return s;
+}
+
+/** Parse one JSON string; false (with the cursor's error) if refused. */
+bool
+unescaped(const std::string &text, std::string &out, std::string *err)
+{
+    json::Cursor c(text);
+    const bool ok = c.parseString(out);
+    *err = c.err;
+    return ok;
+}
+
+TEST(Json, EscapesAtStartMiddleAndEndByteExact)
+{
+    const std::string ctl("\x01", 1), nul("\0", 1);
+    const struct
+    {
+        std::string raw, text;
+    } cases[] = {
+        {"", "\"\""},
+        {"\"ab", "\"\\\"ab\""},
+        {"a\"b", "\"a\\\"b\""},
+        {"ab\"", "\"ab\\\"\""},
+        {"\\ab", "\"\\\\ab\""},
+        {"a\\b", "\"a\\\\b\""},
+        {"ab\\", "\"ab\\\\\""},
+        {ctl + "ab", "\"\\u0001ab\""},
+        {"a\nb", "\"a\\u000ab\""},
+        {"ab\x1f", "\"ab\\u001f\""},
+        {nul + "a" + nul, "\"\\u0000a\\u0000\""},
+        {"\"\\\t", "\"\\\"\\\\\\u0009\""},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.text);
+        EXPECT_EQ(escaped(c.raw), c.text);
+        std::string back, err;
+        ASSERT_TRUE(unescaped(c.text, back, &err)) << err;
+        EXPECT_EQ(back, c.raw);
+    }
+
+    // The reader's own short escapes decode wherever they sit.
+    std::string back, err;
+    ASSERT_TRUE(unescaped("\"\\nx\\/y\\r\"", back, &err)) << err;
+    EXPECT_EQ(back, "\nx/y\r");
+}
+
+TEST(Json, LongUnescapedStringCopiesThrough)
+{
+    // Every byte from 0x20 up but '"' and '\\' needs no escape, high
+    // bytes included.
+    std::string raw;
+    for (std::size_t i = 0; i < (1u << 20); ++i) {
+        const char c = static_cast<char>(0x20 + i % 0xe0);
+        raw += c == '"' || c == '\\' ? 'x' : c;
+    }
+    const std::string text = escaped(raw);
+    EXPECT_EQ(text, "\"" + raw + "\"");
+    std::string back, err;
+    ASSERT_TRUE(unescaped(text, back, &err)) << err;
+    EXPECT_EQ(back, raw);
+}
+
+TEST(Json, WideUnicodeEscapesAreRefused)
+{
+    // \u escapes name one byte; a wider code point used to decode to
+    // its low byte ("\u012d" and "\u4e2d" read as "-").
+    std::string back, err;
+    ASSERT_TRUE(unescaped("\"\\u00ff\\u002d\"", back, &err)) << err;
+    EXPECT_EQ(back, std::string("\xff-"));
+    for (const char *text :
+         {"\"\\u0100\"", "\"\\u012d\"", "\"a\\u4e2db\"", "\"\\uFFFF\""}) {
+        SCOPED_TRACE(text);
+        EXPECT_FALSE(unescaped(text, back, &err));
+        EXPECT_EQ(err, "\\u escape beyond one byte");
+    }
 }
 
 } // namespace

@@ -74,12 +74,12 @@ TEST(Ensemble, ValidMaskCoversExactPaths)
     EXPECT_EQ(partial.validMask(0), ~std::uint64_t(0));
     EXPECT_EQ(partial.validMask(1), 1u);
     // Padding words past the data words are never valid, and the
-    // valid-mask row mirrors validMask() word for word.
+    // valid-mask row mirrors validMask(w) word for word.
     for (std::size_t w = partial.dataWords();
          w < partial.wordsPerQubit(); ++w)
         EXPECT_EQ(partial.validMask(w), 0u);
     for (std::size_t w = 0; w < partial.wordsPerQubit(); ++w)
-        EXPECT_EQ(partial.validMaskRow()[w], partial.validMask(w));
+        EXPECT_EQ(partial.validMask()[w], partial.validMask(w));
 }
 
 // --- Scalar vs ensemble vs reference interpreter ----------------------
@@ -163,10 +163,12 @@ expectEnginesAgree(const FeynmanExecutor &exec,
     FlatRealization flat;
     exec.flatten(errors, flat);
 
-    PathEnsemble in(nq, np);
+    PathEnsemble out(nq, np);
     for (std::size_t k = 0; k < np; ++k)
-        in.scatterPath(k, inputs[k].bits, inputs[k].phase);
-    PathEnsemble out = exec.runFlatEnsemble(in, flat);
+        out.scatterPath(k, inputs[k].bits, inputs[k].phase);
+    exec.runSpanEnsemble(out, 0,
+                         static_cast<std::uint32_t>(exec.stream().size()),
+                         flat.events.data(), flat.events.size());
 
     BitVec gathered(nq);
     for (std::size_t k = 0; k < np; ++k) {
@@ -197,7 +199,10 @@ TEST(Ensemble, IdealEnsembleMatchesScalarIdeal)
             in.scatterPath(k, p.bits);
             inputs.push_back(std::move(p));
         }
-        PathEnsemble out = exec.runIdealEnsemble(in);
+        PathEnsemble out = in;
+        exec.runSpanEnsemble(
+            out, 0, static_cast<std::uint32_t>(exec.stream().size()),
+            nullptr, 0);
         BitVec gathered(n);
         for (std::size_t k = 0; k < np; ++k) {
             PathState scalar = exec.runIdeal(inputs[k]);

@@ -784,11 +784,13 @@ TEST(OrchestratorCli, ShardExitCodesFollowTheContract)
     EXPECT_EQ(shCode(shard + run + " --out " + dir + "/ok.json" +
                      quiet),
               0);
-    // 2: usage — unknown flag, malformed value, bad subcommand,
-    // unknown arch/noise/engine, shard index out of range.
+    // 2: usage — unknown flag (the retired --pipeline and --engine
+    // included), malformed value, bad subcommand, unknown
+    // arch/noise, shard index out of range.
     EXPECT_EQ(shCode(shard + run + " --bogus 1" + quiet), 2);
     EXPECT_EQ(shCode(shard + run + " --pipeline on" + quiet), 2);
     EXPECT_EQ(shCode(shard + run + " --engine slots" + quiet), 2);
+    EXPECT_EQ(shCode(shard + run + " --engine scalar" + quiet), 2);
     EXPECT_EQ(shCode(shard + run + " --m nope" + quiet), 2);
     EXPECT_EQ(shCode(shard + " frobnicate" + quiet), 2);
     EXPECT_EQ(shCode(shard + run + " --arch cray" + quiet), 2);

@@ -1,15 +1,13 @@
 /**
  * @file
- * SIMD row-kernel and dispatch tests.
+ * SIMD dispatch tests.
  *
- * The AVX2/AVX-512 kernels must be bit-identical to the scalar tier
- * on arbitrary row patterns (including non-vector-multiple widths and
- * partial valid masks), the PathEnsemble layout must deliver the
- * alignment/padding contract the kernels assume, and the whole engine
- * — ensemble propagation and the fidelity estimator, batched replay
- * and sweep sampling included — must produce bit-identical results at
- * every tier the host CPU supports. Tiers the CPU lacks are skipped
- * (the scalar tier always runs).
+ * The PathEnsemble layout must deliver the alignment/padding contract
+ * the kernels assume, and the whole engine — ensemble propagation and
+ * the fidelity estimator, batched replay and sweep sampling included —
+ * must produce bit-identical results at every tier the host CPU
+ * supports. Tiers the CPU lacks are skipped (the scalar tier always
+ * runs). Kernel-level differentials live in tests/test_block_replay.cc.
  */
 
 #include <gtest/gtest.h>
@@ -53,90 +51,6 @@ supportedTiers()
     return tiers;
 }
 
-// --- Kernel-level bit identity ----------------------------------------
-
-TEST(Simd, KernelsBitIdenticalAcrossTiersOnRandomRows)
-{
-    Rng rng(20260731);
-    const simd::RowKernels &S = simd::kernels(simd::Tier::Scalar);
-
-    for (simd::Tier tier : supportedTiers()) {
-        if (tier == simd::Tier::Scalar)
-            continue;
-        SCOPED_TRACE(simd::tierName(tier));
-        const simd::RowKernels &K = simd::kernels(tier);
-
-        for (int trial = 0; trial < 200; ++trial) {
-            // Widths straddle vector boundaries: 1..20 words covers
-            // sub-AVX2, sub-AVX512 and unaligned-tail shapes.
-            const std::size_t nw = 1 + rng.below(20);
-            const std::size_t nrows = 4;
-            simd::AlignedWords rows(nrows * nw);
-            for (auto &w : rows)
-                w = rng.bits();
-            simd::AlignedWords vmask(nw);
-            for (auto &w : vmask)
-                w = rng.below(4) == 0 ? rng.bits() : ~std::uint64_t(0);
-
-            EnsembleCtrl ctrls[3];
-            const std::size_t nc = rng.below(4);
-            for (std::size_t c = 0; c < nc; ++c)
-                ctrls[c] = {static_cast<std::uint32_t>(
-                                rng.below(nrows)),
-                            rng.bernoulli(0.5) ? ~std::uint64_t(0)
-                                               : std::uint64_t(0)};
-
-            // xorFire
-            simd::AlignedWords a(nw), b(nw);
-            for (std::size_t w = 0; w < nw; ++w)
-                a[w] = b[w] = rng.bits();
-            S.xorFire(a.data(), rows.data(), nw, ctrls, nc,
-                      vmask.data(), nw);
-            K.xorFire(b.data(), rows.data(), nw, ctrls, nc,
-                      vmask.data(), nw);
-            EXPECT_EQ(a, b);
-
-            // swapFire
-            simd::AlignedWords a0(nw), a1(nw), b0(nw), b1(nw);
-            for (std::size_t w = 0; w < nw; ++w) {
-                a0[w] = b0[w] = rng.bits();
-                a1[w] = b1[w] = rng.bits();
-            }
-            S.swapFire(a0.data(), a1.data(), rows.data(), nw, ctrls,
-                       nc, vmask.data(), nw);
-            K.swapFire(b0.data(), b1.data(), rows.data(), nw, ctrls,
-                       nc, vmask.data(), nw);
-            EXPECT_EQ(a0, b0);
-            EXPECT_EQ(a1, b1);
-
-            // xorRow
-            for (std::size_t w = 0; w < nw; ++w)
-                a[w] = b[w] = rng.bits();
-            S.xorRow(a.data(), rows.data(), nw);
-            K.xorRow(b.data(), rows.data(), nw);
-            EXPECT_EQ(a, b);
-
-            // diffOr: accumulated mask and return value
-            simd::AlignedWords devA(nw), devB(nw);
-            for (std::size_t w = 0; w < nw; ++w)
-                devA[w] = devB[w] = rng.bits();
-            const std::uint64_t *x = rows.data();
-            const std::uint64_t *y = rows.data() + nw;
-            const std::uint64_t anyA =
-                S.diffOr(devA.data(), x, y, nw);
-            const std::uint64_t anyB =
-                K.diffOr(devB.data(), x, y, nw);
-            EXPECT_EQ(devA, devB);
-            EXPECT_EQ(anyA, anyB);
-
-            // diffOr on identical rows must report no deviation.
-            EXPECT_EQ(S.diffOr(devA.data(), x, x, nw),
-                      K.diffOr(devB.data(), x, x, nw));
-            EXPECT_EQ(S.diffOr(devA.data(), x, x, nw), 0u);
-        }
-    }
-}
-
 // --- Layout contract --------------------------------------------------
 
 TEST(Simd, PathEnsembleRowsAlignedAndPadded)
@@ -155,7 +69,7 @@ TEST(Simd, PathEnsembleRowsAlignedAndPadded)
                           simd::kRowAlign,
                       0u);
         for (std::size_t w = 0; w < ens.wordsPerQubit(); ++w)
-            EXPECT_EQ(ens.validMaskRow()[w], ens.validMask(w));
+            EXPECT_EQ(ens.validMask()[w], ens.validMask(w));
         for (std::size_t w = ens.dataWords();
              w < ens.wordsPerQubit(); ++w)
             EXPECT_EQ(ens.validMask(w), 0u);
@@ -171,6 +85,8 @@ TEST(Simd, TailAndPaddingStayZeroThroughPropagation)
     Memory mem = Memory::random(3, rng);
     QueryCircuit qc = BucketBrigadeQram(3).build(mem);
     FeynmanExecutor exec(qc.circuit);
+    const std::uint32_t numOps =
+        static_cast<std::uint32_t>(exec.stream().size());
     GateNoise noise(PauliRates::depolarizing(0.02));
 
     for (std::size_t np : {std::size_t(3), std::size_t(65),
@@ -186,7 +102,9 @@ TEST(Simd, TailAndPaddingStayZeroThroughPropagation)
             ErrorRealization errors = noise.sample(exec, rng);
             FlatRealization flat;
             exec.flatten(errors, flat);
-            PathEnsemble out = exec.runFlatEnsemble(in, flat);
+            PathEnsemble out = in;
+            exec.runSpanEnsemble(out, 0, numOps, flat.events.data(),
+                                 flat.events.size());
             for (std::size_t q = 0; q < out.numQubits(); ++q)
                 for (std::size_t w = 0; w < out.wordsPerQubit(); ++w)
                     EXPECT_EQ(out.row(q)[w] & ~out.validMask(w), 0u)
@@ -204,6 +122,8 @@ TEST(Simd, EnsemblePropagationBitIdenticalAcrossTiers)
     QueryCircuit qc = BucketBrigadeQram(3).build(mem);
     FeynmanExecutor exec(qc.circuit);
     const std::size_t nq = qc.circuit.numQubits();
+    const std::uint32_t numOps =
+        static_cast<std::uint32_t>(exec.stream().size());
     GateNoise noise(PauliRates::depolarizing(5e-3));
 
     // 65 paths: duplicate some addresses so the tail word is in play.
@@ -227,7 +147,9 @@ TEST(Simd, EnsemblePropagationBitIdenticalAcrossTiers)
         for (simd::Tier tier : supportedTiers()) {
             SCOPED_TRACE(simd::tierName(tier));
             TierGuard guard(tier);
-            PathEnsemble out = exec.runFlatEnsemble(in, flat);
+            PathEnsemble out = in;
+            exec.runSpanEnsemble(out, 0, numOps, flat.events.data(),
+                                 flat.events.size());
             for (std::size_t k = 0; k < np; ++k) {
                 PathState ref =
                     exec.runNoisyReference(inputs[k], errors);

@@ -445,8 +445,7 @@ main(int argc, char **argv)
             qc.circuit, qc.addressQubits, qc.busQubit,
             AddressSuperposition::uniform(opt.w.addressWidth()));
         ShardSpec pinSpec = cfg.plan.shards.front();
-        if (!tool::finishSpec(opt, pinSpec))
-            return usage();
+        tool::finishSpec(opt, pinSpec);
         applyShardPins(*est, pinSpec);
         noise = opt.w.makeNoise();
         pool = std::make_unique<ThreadPool>(
@@ -454,7 +453,7 @@ main(int argc, char **argv)
         cfg.inlineRunner = [&opt, &est, &noise,
                             &pool](const ShardSpec &planned) {
             ShardSpec spec = planned;
-            tool::finishSpec(opt, spec); // validated above
+            tool::finishSpec(opt, spec);
             spec.pool = pool.get();
             PartialEstimate part = est->runShard(*noise, spec);
             part.workload = opt.w.fingerprint(opt.shots);

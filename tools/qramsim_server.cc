@@ -148,8 +148,8 @@ runWorker(srv::Server &server, const std::string &brokerPath,
             tool::RunOptions opt;
             ShardSpec spec;
             if (tool::parseRunFlags(static_cast<int>(argv.size()),
-                                    argv.data(), opt) &&
-                tool::cutShardSpec(opt, spec)) {
+                                    argv.data(), opt)) {
+                tool::cutShardSpec(opt, spec);
                 shotBegin = spec.shotBegin;
                 shotEnd = spec.shotEnd;
             }

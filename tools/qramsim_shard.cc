@@ -59,9 +59,6 @@
  *   --threads T   in-process threads for this shard (counter streams
  *                 split the shot range across them; bit-identical at
  *                 every thread count)
- *   --engine ensemble|scalar  replay-engine pin (ensemble = op-major
- *                             block replay, scalar = the path-by-path
- *                             oracle)
  *   --tier scalar|avx2|avx512     SIMD tier pin
  *   --adaptive    run the shard under EstimateMode::Adaptive: --shots
  *                 becomes the raw-draw budget, the empty class is
@@ -147,8 +144,7 @@ cmdRun(int argc, char **argv)
         return usage();
 
     ShardSpec spec;
-    if (!tool::cutShardSpec(opt, spec))
-        return kToolExitUsage;
+    tool::cutShardSpec(opt, spec);
 
     // Fault injection: the armed spec (if any) is the one whose
     // global shot index falls in THIS shard's range, so any fault in

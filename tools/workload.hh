@@ -187,7 +187,7 @@ struct RunOptions
     unsigned threads = 1;
     bool adaptive = false;
     AdaptivePolicy pol;
-    std::string out, engine, tier;
+    std::string out, tier;
 };
 
 /**
@@ -340,11 +340,6 @@ parseRunFlags(int argc, char **argv, RunOptions &opt)
             if (!uintVal(1ul << 16, u))
                 return false;
             opt.threads = static_cast<unsigned>(u);
-        } else if (flag == "--engine") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.engine = v;
         } else if (flag == "--tier") {
             const char *v = value();
             if (!v)
@@ -402,10 +397,9 @@ parseRunFlags(int argc, char **argv, RunOptions &opt)
 
 /**
  * Apply the per-shard execution options (threads, adaptive policy,
- * engine/tier pins) to a spec cut from the plan. False (with a
- * diagnostic) on an unknown engine name.
+ * SIMD-tier pin) to a spec cut from the plan.
  */
-inline bool
+inline void
 finishSpec(const RunOptions &opt, ShardSpec &spec)
 {
     spec.threads = opt.threads;
@@ -413,17 +407,7 @@ finishSpec(const RunOptions &opt, ShardSpec &spec)
         spec.mode = EstimateMode::Adaptive;
         spec.policy = opt.pol;
     }
-    if (opt.engine == "ensemble")
-        spec.replay = ReplayPin::Ensemble;
-    else if (opt.engine == "scalar")
-        spec.replay = ReplayPin::Scalar;
-    else if (!opt.engine.empty()) {
-        std::fprintf(stderr, "unknown --engine '%s'\n",
-                     opt.engine.c_str());
-        return false;
-    }
     spec.simdTier = opt.tier;
-    return true;
 }
 
 /**
@@ -432,12 +416,10 @@ finishSpec(const RunOptions &opt, ShardSpec &spec)
  * when more shards are requested than there are shots — then apply
  * the per-shard execution options via finishSpec. Shared by the
  * shard CLI and the resident server so the two transports can never
- * disagree about which shots a request covers. False (diagnostic on
- * stderr and in *err) on an unknown engine name.
+ * disagree about which shots a request covers.
  */
-inline bool
-cutShardSpec(const RunOptions &opt, ShardSpec &spec,
-             std::string *err = nullptr)
+inline void
+cutShardSpec(const RunOptions &opt, ShardSpec &spec)
 {
     SweepPlan plan = SweepPlan::partition(opt.shots, opt.shardCount,
                                           opt.seed, opt.factors,
@@ -453,12 +435,7 @@ cutShardSpec(const RunOptions &opt, ShardSpec &spec,
         shardIdx = plan.shards.size() - 1;
     }
     spec = plan.shards[shardIdx];
-    if (!finishSpec(opt, spec)) {
-        if (err)
-            *err = "unknown --engine '" + opt.engine + "'";
-        return false;
-    }
-    return true;
+    finishSpec(opt, spec);
 }
 
 /**
@@ -472,10 +449,10 @@ cutShardSpec(const RunOptions &opt, ShardSpec &spec,
  * and so does the sampler version (kSamplerVersion): a spilled result
  * or a journaled job drawn by another sampler never answers.
  *
- * Deliberately EXCLUDED: threads, engine and SIMD-tier pins, and
- * the output path. The estimation invariants enforced by
- * the test suite make results bit-identical across all of them, so
- * keying on them would only split a cache.
+ * Deliberately EXCLUDED: threads, the SIMD-tier pin and the output
+ * path. The estimation invariants enforced by the test suite make
+ * results bit-identical across all of them, so keying on them would
+ * only split a cache.
  *
  * The one source of both resultCacheKey (one shard's result) and
  * qramsim_drive's broker job identity (a whole job), so neither can
