@@ -11,8 +11,8 @@
  *
  * The kernels sweep a fused EnsembleBlock arena (16 shots' rows back
  * to back — the op-major replay layout). One "row" is one shot's
- * bit-across-paths row of N paths (the PathEnsemble layout: padded
- * stride, 64-byte aligned, tail bits masked by the valid row), so
+ * bit-across-paths row of N paths (the PathEnsemble layout: dense
+ * ceil(N / 64)-word stride, tail bits masked by the valid row), so
  * the record reads block_*_rows_per_sec in per-shot-row units.
  *
  * The record also carries a replay-batch width sweep: estimator
@@ -106,7 +106,7 @@ main(int argc, char **argv)
     if (repeats == 0)
         repeats = 1;
 
-    // An 8-row ensemble provides the aligned layout, the valid-mask
+    // An 8-row ensemble provides the row layout, the valid-mask
     // row, and control rows; contents are random valid bit patterns.
     PathEnsemble ens(8, paths);
     const std::size_t nw = ens.wordsPerQubit();

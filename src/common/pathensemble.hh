@@ -13,23 +13,28 @@
  *
  * Layout: row q occupies words [q * wordsPerQubit(), (q + 1) *
  * wordsPerQubit()); bit k of word w in a row is path 64 * w + k. The
- * row stride is padded up to simd::kRowAlignWords and the storage is
- * 64-byte aligned, so every row starts on a cache-line boundary and
- * the SIMD kernels (common/simd.hh) sweep whole rows in full vector
- * steps. Bits of the last data word at positions >= numPaths() and
- * all bits of the padding words are tail bits; every operation
- * preserves the invariant that tail bits are zero (kernels mask fire
- * words with the validMask row), so row-level equality and popcounts
- * never see garbage.
+ * row stride is the data words, ceil(numPaths() / 64), with no
+ * padding, so every op sweep, copy and checkpoint moves only words
+ * that hold paths (a 256-path row is 4 words, not a cache line). The
+ * storage itself is 64-byte aligned; the SIMD kernels (common/simd.hh)
+ * use unaligned and masked loads, so rows need no alignment of their
+ * own. Bits of the last data word at positions >= numPaths() are tail
+ * bits; every operation preserves the invariant that tail bits are
+ * zero (kernels mask fire words with the validMask row), so row-level
+ * equality and popcounts never see garbage.
  *
  * EnsembleBlock, below, fuses K shots' ensembles into one arena for
  * the op-major replay loop of sim/feynman.cc. That loop is the only
  * ensemble op loop: a PathEnsemble enters it as a one-shot arena.
+ * Both arenas also hold the replay's Pauli frame (per shot, a sign row
+ * and a quarter-turn count; see FeynmanExecutor::runSpanEnsembleBlock),
+ * which is all zero outside a replay.
  */
 
 #ifndef QRAMSIM_COMMON_PATHENSEMBLE_HH
 #define QRAMSIM_COMMON_PATHENSEMBLE_HH
 
+#include <algorithm>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
@@ -53,10 +58,8 @@ class PathEnsemble
     /** All-zero ensemble of @p npaths paths over @p nqubits qubits. */
     PathEnsemble(std::size_t nqubits, std::size_t npaths)
         : nq(nqubits), np(npaths), dw((npaths + 63) / 64),
-          pw(padStride((npaths + 63) / 64)),
-          bits(nqubits * padStride((npaths + 63) / 64), 0),
-          vmask(padStride((npaths + 63) / 64), 0),
-          phases(npaths, {1.0, 0.0})
+          bits(nqubits * dw, 0), vmask(dw, 0),
+          phases(npaths, {1.0, 0.0}), sign(dw, 0)
     {
         for (std::size_t w = 0; w < dw; ++w)
             vmask[w] = ~std::uint64_t(0);
@@ -67,14 +70,10 @@ class PathEnsemble
     std::size_t numQubits() const { return nq; }
     std::size_t numPaths() const { return np; }
 
-    /**
-     * Row stride in words: (numPaths + 63) / 64 rounded up to
-     * simd::kRowAlignWords so each row is 64-byte aligned. Words past
-     * the data words are padding and always zero.
-     */
-    std::size_t wordsPerQubit() const { return pw; }
+    /** Row stride in words: the data words, (numPaths + 63) / 64. */
+    std::size_t wordsPerQubit() const { return dw; }
 
-    /** Words actually holding path bits: (numPaths + 63) / 64. */
+    /** Words holding path bits: the row stride, (numPaths + 63) / 64. */
     std::size_t dataWords() const { return dw; }
 
     /// @name Row access
@@ -84,12 +83,12 @@ class PathEnsemble
     /// and preserve the tail-bit invariant when writing.
     /// @{
 
-    std::uint64_t *row(std::size_t q) { return bits.data() + q * pw; }
+    std::uint64_t *row(std::size_t q) { return bits.data() + q * dw; }
 
     const std::uint64_t *
     row(std::size_t q) const
     {
-        return bits.data() + q * pw;
+        return bits.data() + q * dw;
     }
 
     std::uint64_t *rowData() { return bits.data(); }
@@ -97,19 +96,19 @@ class PathEnsemble
 
     /**
      * Mask of valid (non-tail) path bits in row word @p w — all ones
-     * except possibly the last data word, and zero for the padding
-     * words. Fire masks are ANDed with this so broadcast ops never
-     * touch tail bits.
+     * except possibly the last data word, and zero past the row. Fire
+     * masks are ANDed with this so broadcast ops never touch tail
+     * bits.
      */
     std::uint64_t
     validMask(std::size_t w) const
     {
-        return w < pw ? vmask[w] : 0;
+        return w < dw ? vmask[w] : 0;
     }
 
     /**
-     * The valid-mask row itself (wordsPerQubit() words, aligned) —
-     * what the SIMD kernels seed their fire masks from.
+     * The valid-mask row itself (wordsPerQubit() words) — what the
+     * SIMD kernels seed their fire masks from.
      */
     const std::uint64_t *validMask() const { return vmask.data(); }
 
@@ -124,11 +123,14 @@ class PathEnsemble
     /// @{
 
     std::size_t numShots() const { return 1; }
-    std::size_t rowWords() const { return pw; }
+    std::size_t rowWords() const { return dw; }
     const std::uint64_t *maskRow() const { return vmask.data(); }
     std::uint64_t *row(std::size_t q, std::size_t) { return row(q); }
     std::complex<double> *phaseSlice(std::size_t) { return phaseData(); }
     void join(std::size_t) {}
+    std::uint64_t *signRow(std::size_t) { return sign.data(); }
+    std::uint32_t &quarterTurns(std::size_t) { return turns; }
+    std::uint32_t *nextStops() { return &next; }
 
     /// @}
 
@@ -136,7 +138,7 @@ class PathEnsemble
     get(std::size_t q, std::size_t k) const
     {
         QRAMSIM_ASSERT(q < nq && k < np, "ensemble index out of range");
-        return (bits[q * pw + (k >> 6)] >> (k & 63)) & 1;
+        return (bits[q * dw + (k >> 6)] >> (k & 63)) & 1;
     }
 
     void
@@ -145,9 +147,9 @@ class PathEnsemble
         QRAMSIM_ASSERT(q < nq && k < np, "ensemble index out of range");
         const std::uint64_t m = std::uint64_t(1) << (k & 63);
         if (v)
-            bits[q * pw + (k >> 6)] |= m;
+            bits[q * dw + (k >> 6)] |= m;
         else
-            bits[q * pw + (k >> 6)] &= ~m;
+            bits[q * dw + (k >> 6)] &= ~m;
     }
 
     std::complex<double> &phase(std::size_t k) { return phases[k]; }
@@ -174,9 +176,9 @@ class PathEnsemble
         const std::uint64_t km = std::uint64_t(1) << (k & 63);
         for (std::size_t q = 0; q < nq; ++q) {
             if (b.get(q))
-                bits[q * pw + kw] |= km;
+                bits[q * dw + kw] |= km;
             else
-                bits[q * pw + kw] &= ~km;
+                bits[q * dw + kw] &= ~km;
         }
         phases[k] = ph;
     }
@@ -194,7 +196,7 @@ class PathEnsemble
             ow[w] = 0;
         const std::uint64_t *b = bits.data() + kw;
         for (std::size_t q = 0; q < nq; ++q)
-            if (b[q * pw] & km)
+            if (b[q * dw] & km)
                 ow[q >> 6] |= std::uint64_t(1) << (q & 63);
     }
 
@@ -208,45 +210,44 @@ class PathEnsemble
     bool operator!=(const PathEnsemble &o) const { return !(*this == o); }
 
   private:
-    static std::size_t
-    padStride(std::size_t words)
-    {
-        const std::size_t a = simd::kRowAlignWords;
-        return (words + a - 1) / a * a;
-    }
-
     std::size_t nq = 0;  ///< qubits (rows)
     std::size_t np = 0;  ///< paths (columns)
-    std::size_t dw = 0;  ///< data words per row
-    std::size_t pw = 0;  ///< padded row stride in words
+    std::size_t dw = 0;  ///< data words per row (the row stride)
     simd::AlignedWords bits;
-    simd::AlignedWords vmask; ///< validMask per row word (pads zero)
+    simd::AlignedWords vmask; ///< validMask per row word
     std::vector<std::complex<double>> phases;
+    // The one-shot arena's Pauli frame and stop cursor: replay
+    // scratch, zero outside a replay and not part of the value.
+    simd::AlignedWords sign;
+    std::uint32_t turns = 0;
+    std::uint32_t next = 0;
 };
 
 /**
  * Fused arena for op-major batched replay: the states of K batched
  * shots' ensembles in one 64-byte-aligned allocation, laid out
  * qubit-major, shot-minor. Qubit q's "block row" holds every shot's
- * padded word-row back to back:
+ * word-row back to back, then zero padding up to a multiple of
+ * simd::kRowAlignWords:
  *
- *   blockRow(q) = [ shot 0 row | shot 1 row | ... | shot K-1 row ]
+ *   blockRow(q) = [ shot 0 row | shot 1 row | ... | shot K-1 row | pad ]
  *
- * each slice wordsPerQubit() words (the PathEnsemble stride, a
- * multiple of simd::kRowAlignWords), so every slice starts on a cache
- * line and one contiguous kernel sweep of rowWords() words applies
- * one op to all shots at once (the xorFireBlock/swapFireBlock
- * kernels of common/simd.hh). Phase accumulators are per shot, per
- * path (phaseSlice). Shots replaying from different checkpoints stay
- * exact through the mask row: it concatenates, per shot, either the
- * valid mask (shot has joined the replay) or zeros (not yet joined),
- * so ops sweep every slice but can only ever touch joined shots'
- * bits — and tail/padding bits of no one.
+ * each slice wordsPerQubit() words (the PathEnsemble stride, the data
+ * words; slices are dense, not padded), so every block row starts on
+ * a cache line and one contiguous kernel sweep of rowWords() words
+ * applies one op to all shots at once in whole vector steps (the
+ * xorFireBlock/swapFireBlock kernels of common/simd.hh). Phase
+ * accumulators are per shot, per path (phaseSlice). Shots replaying
+ * from different checkpoints stay exact through the mask row: it
+ * concatenates, per shot, either the valid mask (shot has joined the
+ * replay) or zeros (not yet joined), and zeros over the pad, so ops
+ * sweep every slice but can only ever touch joined shots' bits — and
+ * tail or pad bits of no one.
  *
  * The shape is a reusable scratch: reshape() resizes storage (reusing
- * capacity across batches), clears every mask slice, and leaves the
- * bit slices unspecified until loaded (loadShot or per-row copies
- * from checkpoint ensembles).
+ * capacity across batches), clears every mask slice, the pad words
+ * and the Pauli frame, and leaves the bit slices unspecified until
+ * loaded (loadShot or per-row copies from checkpoint ensembles).
  */
 class EnsembleBlock
 {
@@ -263,15 +264,23 @@ class EnsembleBlock
         np = npaths;
         ns = nshots;
         dw = (npaths + 63) / 64;
-        pw = padStride(dw);
-        bits.resize(nq * ns * pw);
-        mask.assign(ns * pw, 0);
-        vmask.assign(pw, 0);
+        const std::size_t a = simd::kRowAlignWords;
+        rw = (ns * dw + a - 1) / a * a;
+        bits.resize(nq * rw);
+        if (rw != ns * dw)
+            for (std::size_t q = 0; q < nq; ++q)
+                std::fill(bits.begin() + q * rw + ns * dw,
+                          bits.begin() + (q + 1) * rw, 0);
+        mask.assign(rw, 0);
+        vmask.assign(dw, 0);
         for (std::size_t w = 0; w < dw; ++w)
             vmask[w] = ~std::uint64_t(0);
         if (np & 63)
             vmask[dw - 1] = (std::uint64_t(1) << (np & 63)) - 1;
         phases.resize(ns * np);
+        sign.assign(ns * dw, 0);
+        turns.assign(ns, 0);
+        next.resize(ns);
         joinedFlags.assign(ns, 0);
     }
 
@@ -280,13 +289,16 @@ class EnsembleBlock
     std::size_t numShots() const { return ns; }
 
     /** Words per shot slice: the PathEnsemble row stride. */
-    std::size_t wordsPerQubit() const { return pw; }
+    std::size_t wordsPerQubit() const { return dw; }
 
-    /** Words actually holding path bits in a slice. */
+    /** Words holding path bits in a slice: the slice stride. */
     std::size_t dataWords() const { return dw; }
 
-    /** Words per qubit block row: numShots() * wordsPerQubit(). */
-    std::size_t rowWords() const { return ns * pw; }
+    /**
+     * Words per qubit block row: numShots() * wordsPerQubit() rounded
+     * up to simd::kRowAlignWords.
+     */
+    std::size_t rowWords() const { return rw; }
 
     std::uint64_t *rowData() { return bits.data(); }
     const std::uint64_t *rowData() const { return bits.data(); }
@@ -294,26 +306,26 @@ class EnsembleBlock
     /** Qubit @p q's fused row (all shots' slices, rowWords() words). */
     std::uint64_t *blockRow(std::size_t q)
     {
-        return bits.data() + q * ns * pw;
+        return bits.data() + q * rw;
     }
 
     const std::uint64_t *
     blockRow(std::size_t q) const
     {
-        return bits.data() + q * ns * pw;
+        return bits.data() + q * rw;
     }
 
     /** Shot @p s's slice of qubit @p q's block row. */
     std::uint64_t *
     row(std::size_t q, std::size_t s)
     {
-        return bits.data() + (q * ns + s) * pw;
+        return bits.data() + q * rw + s * dw;
     }
 
     const std::uint64_t *
     row(std::size_t q, std::size_t s) const
     {
-        return bits.data() + (q * ns + s) * pw;
+        return bits.data() + q * rw + s * dw;
     }
 
     /** The combined join/valid mask row (rowWords() words). */
@@ -334,6 +346,20 @@ class EnsembleBlock
         return phases.data() + s * np;
     }
 
+    /// @name Pauli frame (see FeynmanExecutor::runSpanEnsembleBlock)
+    /// @{
+
+    /** Shot @p s's sign row: paths whose phase awaits a negation. */
+    std::uint64_t *signRow(std::size_t s) { return sign.data() + s * dw; }
+
+    /** Shot @p s's pending factors of i (Y events), mod 4 at use. */
+    std::uint32_t &quarterTurns(std::size_t s) { return turns[s]; }
+
+    /** Per-shot next stop of the replay loop (numShots() entries). */
+    std::uint32_t *nextStops() { return next.data(); }
+
+    /// @}
+
     bool joined(std::size_t s) const { return joinedFlags[s] != 0; }
 
     /** Open shot @p s's mask slice: ops now apply to its rows. A
@@ -343,8 +369,8 @@ class EnsembleBlock
     {
         if (joinedFlags[s])
             return;
-        std::uint64_t *m = mask.data() + s * pw;
-        for (std::size_t w = 0; w < pw; ++w)
+        std::uint64_t *m = mask.data() + s * dw;
+        for (std::size_t w = 0; w < dw; ++w)
             m[w] = vmask[w];
         joinedFlags[s] = 1;
     }
@@ -355,12 +381,12 @@ class EnsembleBlock
     {
         QRAMSIM_ASSERT(ens.numQubits() == nq &&
                            ens.numPaths() == np &&
-                           ens.wordsPerQubit() == pw,
+                           ens.wordsPerQubit() == dw,
                        "ensemble/block shape mismatch");
         for (std::size_t q = 0; q < nq; ++q) {
             const std::uint64_t *src = ens.row(q);
             std::uint64_t *dst = row(q, s);
-            for (std::size_t w = 0; w < pw; ++w)
+            for (std::size_t w = 0; w < dw; ++w)
                 dst[w] = src[w];
         }
         const std::complex<double> *ph = ens.phaseData();
@@ -378,22 +404,18 @@ class EnsembleBlock
     }
 
   private:
-    static std::size_t
-    padStride(std::size_t words)
-    {
-        const std::size_t a = simd::kRowAlignWords;
-        return (words + a - 1) / a * a;
-    }
-
     std::size_t nq = 0; ///< qubits (block rows)
     std::size_t np = 0; ///< paths per shot (slice columns)
     std::size_t ns = 0; ///< batched shots (slices per block row)
-    std::size_t dw = 0; ///< data words per slice
-    std::size_t pw = 0; ///< padded slice stride in words
-    simd::AlignedWords bits;  ///< nq * ns * pw fused rows
-    simd::AlignedWords mask;  ///< ns * pw join/valid mask row
-    simd::AlignedWords vmask; ///< pw-word per-shot valid template
+    std::size_t dw = 0; ///< data words per slice (the slice stride)
+    std::size_t rw = 0; ///< block row stride: ns * dw, aligned up
+    simd::AlignedWords bits;  ///< nq * rw fused rows
+    simd::AlignedWords mask;  ///< rw-word join/valid mask row
+    simd::AlignedWords vmask; ///< dw-word per-shot valid template
     std::vector<std::complex<double>> phases; ///< ns * np
+    simd::AlignedWords sign;                  ///< ns * dw sign rows
+    std::vector<std::uint32_t> turns;         ///< per-shot quarter turns
+    std::vector<std::uint32_t> next;          ///< per-shot next stop
     std::vector<std::uint8_t> joinedFlags;    ///< per-shot join bit
 };
 

@@ -134,8 +134,26 @@ diffOrBlockScalar(std::uint64_t *dev, const std::uint64_t *a,
             dev[w] |= d;
             any |= d;
         }
-        anyOut[s] = any;
+        anyOut[s] = any != 0;
     }
+}
+
+// Slices that divide a vector (W % pw == 0 for a W-word vector: 1, 2
+// and 4 words, and 8 under AVX-512): the vector tiers sweep a block's
+// n slices as one contiguous run of n * pw words, W / pw slices per
+// vector step, against the shared row repeated to fill the vector.
+
+/**
+ * Per-slice any-diff flags of one such vector step: bit j of @p m
+ * says lane j differs, and slice i owns lanes [i*pw, (i+1)*pw).
+ */
+inline void
+flagsFromLanes(unsigned m, std::size_t pw, std::size_t ns,
+               std::uint64_t *anyOut)
+{
+    const unsigned low = (1u << pw) - 1;
+    for (std::size_t i = 0; i < ns; ++i, m >>= pw)
+        anyOut[i] = (m & low) != 0;
 }
 
 constexpr RowKernels kScalar = {xorFireBlockScalar, swapFireBlockScalar,
@@ -147,7 +165,8 @@ constexpr RowKernels kScalar = {xorFireBlockScalar, swapFireBlockScalar,
 
 // Per-row sweeps, the block kernels' fallbacks: the fire sweeps for
 // ops with more than kCtrlHoist controls, the row flip and deviation
-// sweeps for slices wider than one cache line (pw != 8).
+// sweeps one slice at a time for slices that do not divide a vector
+// (nor, under AVX2, fill a cache line).
 
 __attribute__((target("avx2"))) void
 xorFireAvx2(std::uint64_t *target, const std::uint64_t *rows,
@@ -242,23 +261,44 @@ diffOrAvx2(std::uint64_t *dev, const std::uint64_t *a,
                             _mm256_or_si256(_mm256_loadu_si256(dv), d));
         acc = _mm256_or_si256(acc, d);
     }
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    std::uint64_t any = lanes[0] | lanes[1] | lanes[2] | lanes[3];
+    std::uint64_t any = 0;
     for (; w < nw; ++w) {
         const std::uint64_t d = a[w] ^ b[w];
         dev[w] |= d;
         any |= d;
     }
-    return any;
+    return !_mm256_testz_si256(acc, acc) || any != 0;
+}
+
+/** Bit j set iff 64-bit lane j of @p d is nonzero. */
+__attribute__((target("avx2"))) inline unsigned
+nonzeroLanesAvx2(__m256i d)
+{
+    const __m256i z =
+        _mm256_cmpeq_epi64(d, _mm256_setzero_si256());
+    return ~static_cast<unsigned>(
+               _mm256_movemask_pd(_mm256_castsi256_pd(z))) &
+           0xF;
+}
+
+/** A 1-, 2- or 4-word row repeated across a 4-word vector. */
+__attribute__((target("avx2"))) inline __m256i
+broadcastRowAvx2(const std::uint64_t *row, std::size_t pw)
+{
+    if (pw == 1)
+        return _mm256_set1_epi64x(static_cast<long long>(row[0]));
+    if (pw == 2)
+        return _mm256_broadcastsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(row)));
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(row));
 }
 
 // Block kernels: control rows and pre-broadcast polarity vectors are
 // hoisted out of the sweep (see the scalar tier note), and the
 // broadcast/per-slice kernels keep the shared row in registers
-// across shot slices. Arena sweeps have word counts that are
-// multiples of kRowAlignWords, so the scalar tails below exist only
-// for arbitrary test buffers.
+// across shot slices. Block rows have word counts that are multiples
+// of kRowAlignWords; a one-shot arena's row is its data words, which
+// the scalar tails below finish.
 
 __attribute__((target("avx2"))) void
 xorFireBlockAvx2(std::uint64_t *target, const std::uint64_t *rows,
@@ -351,6 +391,21 @@ __attribute__((target("avx2"))) void
 xorRowBlockAvx2(std::uint64_t *dst, const std::uint64_t *src,
                 std::size_t pw, std::size_t n)
 {
+    if (4 % pw == 0) {
+        // Slices that divide a vector: one contiguous sweep against
+        // the repeated row.
+        const __m256i sv = broadcastRowAvx2(src, pw);
+        const std::size_t total = n * pw;
+        std::size_t j = 0;
+        for (; j + 4 <= total; j += 4) {
+            __m256i *d = reinterpret_cast<__m256i *>(dst + j);
+            _mm256_storeu_si256(
+                d, _mm256_xor_si256(_mm256_loadu_si256(d), sv));
+        }
+        for (; j < total; ++j)
+            dst[j] ^= src[j % pw];
+        return;
+    }
     if (pw == 8) {
         // One cache line per slice: both source vectors stay resident.
         const __m256i s0 = _mm256_loadu_si256(
@@ -376,6 +431,25 @@ diffOrBlockAvx2(std::uint64_t *dev, const std::uint64_t *a,
                 const std::uint64_t *b, std::size_t pw, std::size_t n,
                 std::uint64_t *anyOut)
 {
+    if (4 % pw == 0) {
+        // Slices that divide a vector: 4 / pw slices per step against
+        // the repeated row; nonzero lanes give their flags.
+        const __m256i bv = broadcastRowAvx2(b, pw);
+        const std::size_t per = 4 / pw;
+        std::size_t s = 0;
+        for (; s + per <= n; s += per, a += 4, dev += 4) {
+            const __m256i d = _mm256_xor_si256(
+                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a)),
+                bv);
+            __m256i *dv = reinterpret_cast<__m256i *>(dev);
+            _mm256_storeu_si256(
+                dv, _mm256_or_si256(_mm256_loadu_si256(dv), d));
+            flagsFromLanes(nonzeroLanesAvx2(d), pw, per, anyOut + s);
+        }
+        for (; s < n; ++s, a += pw, dev += pw)
+            anyOut[s] = diffOrAvx2(dev, a, b, pw);
+        return;
+    }
     if (pw == 8) {
         const __m256i b0 = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(b));
@@ -397,10 +471,7 @@ diffOrBlockAvx2(std::uint64_t *dev, const std::uint64_t *a,
             _mm256_storeu_si256(
                 v1, _mm256_or_si256(_mm256_loadu_si256(v1), d1));
             const __m256i acc = _mm256_or_si256(d0, d1);
-            alignas(32) std::uint64_t lanes[4];
-            _mm256_store_si256(reinterpret_cast<__m256i *>(lanes),
-                               acc);
-            anyOut[s] = lanes[0] | lanes[1] | lanes[2] | lanes[3];
+            anyOut[s] = !_mm256_testz_si256(acc, acc);
         }
         return;
     }
@@ -469,6 +540,28 @@ swapFireAvx512(std::uint64_t *t0, std::uint64_t *t1,
                        vmask + w, nw - w);
 }
 
+/** Lanes [0, n) of a vector step, n <= 8 (a tail's load/store mask). */
+inline __mmask8
+tailMask(std::size_t n)
+{
+    return static_cast<__mmask8>((1u << n) - 1);
+}
+
+/** A 1-, 2-, 4- or 8-word row repeated across an 8-word vector. */
+__attribute__((target("avx512f"))) inline __m512i
+broadcastRowAvx512(const std::uint64_t *row, std::size_t pw)
+{
+    if (pw == 1)
+        return _mm512_set1_epi64(static_cast<long long>(row[0]));
+    if (pw == 2)
+        return _mm512_broadcast_i32x4(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(row)));
+    if (pw == 4)
+        return _mm512_broadcast_i64x4(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(row)));
+    return _mm512_loadu_si512(row);
+}
+
 __attribute__((target("avx512f"))) void
 xorRowAvx512(std::uint64_t *dst, const std::uint64_t *src,
              std::size_t nw)
@@ -478,8 +571,13 @@ xorRowAvx512(std::uint64_t *dst, const std::uint64_t *src,
         _mm512_storeu_si512(
             dst + w, _mm512_xor_si512(_mm512_loadu_si512(dst + w),
                                       _mm512_loadu_si512(src + w)));
-    for (; w < nw; ++w)
-        dst[w] ^= src[w];
+    if (w < nw) {
+        const __mmask8 k = tailMask(nw - w);
+        _mm512_mask_storeu_epi64(
+            dst + w, k,
+            _mm512_xor_si512(_mm512_maskz_loadu_epi64(k, dst + w),
+                             _mm512_maskz_loadu_epi64(k, src + w)));
+    }
 }
 
 __attribute__((target("avx512f"))) std::uint64_t
@@ -496,14 +594,17 @@ diffOrAvx512(std::uint64_t *dev, const std::uint64_t *a,
             _mm512_or_si512(_mm512_loadu_si512(dev + w), d));
         acc = _mm512_or_si512(acc, d);
     }
-    std::uint64_t any =
-        static_cast<std::uint64_t>(_mm512_reduce_or_epi64(acc));
-    for (; w < nw; ++w) {
-        const std::uint64_t d = a[w] ^ b[w];
-        dev[w] |= d;
-        any |= d;
+    if (w < nw) {
+        const __mmask8 k = tailMask(nw - w);
+        const __m512i d =
+            _mm512_xor_si512(_mm512_maskz_loadu_epi64(k, a + w),
+                             _mm512_maskz_loadu_epi64(k, b + w));
+        _mm512_mask_storeu_epi64(
+            dev + w, k,
+            _mm512_or_si512(_mm512_maskz_loadu_epi64(k, dev + w), d));
+        acc = _mm512_or_si512(acc, d);
     }
-    return any;
+    return _mm512_test_epi64_mask(acc, acc) != 0;
 }
 
 __attribute__((target("avx512f"))) void
@@ -534,11 +635,18 @@ xorFireBlockAvx512(std::uint64_t *target, const std::uint64_t *rows,
             target + w,
             _mm512_xor_si512(_mm512_loadu_si512(target + w), fire));
     }
-    for (; w < nw; ++w) {
-        std::uint64_t fire = bmask[w];
-        for (std::size_t c = 0; c < nc && fire; ++c)
-            fire &= cr[c][w] ^ ctrls[c].invert;
-        target[w] ^= fire;
+    if (w < nw) {
+        const __mmask8 k = tailMask(nw - w);
+        __m512i fire = _mm512_maskz_loadu_epi64(k, bmask + w);
+        for (std::size_t c = 0; c < nc; ++c)
+            fire = _mm512_and_si512(
+                fire,
+                _mm512_xor_si512(_mm512_maskz_loadu_epi64(k, cr[c] + w),
+                                 inv[c]));
+        _mm512_mask_storeu_epi64(
+            target + w, k,
+            _mm512_xor_si512(_mm512_maskz_loadu_epi64(k, target + w),
+                             fire));
     }
 }
 
@@ -573,13 +681,20 @@ swapFireBlockAvx512(std::uint64_t *t0, std::uint64_t *t1,
         _mm512_storeu_si512(t0 + w, _mm512_xor_si512(v0, diff));
         _mm512_storeu_si512(t1 + w, _mm512_xor_si512(v1, diff));
     }
-    for (; w < nw; ++w) {
-        std::uint64_t fire = bmask[w];
-        for (std::size_t c = 0; c < nc && fire; ++c)
-            fire &= cr[c][w] ^ ctrls[c].invert;
-        const std::uint64_t diff = (t0[w] ^ t1[w]) & fire;
-        t0[w] ^= diff;
-        t1[w] ^= diff;
+    if (w < nw) {
+        const __mmask8 k = tailMask(nw - w);
+        __m512i fire = _mm512_maskz_loadu_epi64(k, bmask + w);
+        for (std::size_t c = 0; c < nc; ++c)
+            fire = _mm512_and_si512(
+                fire,
+                _mm512_xor_si512(_mm512_maskz_loadu_epi64(k, cr[c] + w),
+                                 inv[c]));
+        const __m512i v0 = _mm512_maskz_loadu_epi64(k, t0 + w);
+        const __m512i v1 = _mm512_maskz_loadu_epi64(k, t1 + w);
+        const __m512i diff =
+            _mm512_and_si512(_mm512_xor_si512(v0, v1), fire);
+        _mm512_mask_storeu_epi64(t0 + w, k, _mm512_xor_si512(v0, diff));
+        _mm512_mask_storeu_epi64(t1 + w, k, _mm512_xor_si512(v1, diff));
     }
 }
 
@@ -587,12 +702,23 @@ __attribute__((target("avx512f"))) void
 xorRowBlockAvx512(std::uint64_t *dst, const std::uint64_t *src,
                   std::size_t pw, std::size_t n)
 {
-    if (pw == 8) {
-        // One ZMM register is the entire slice row.
-        const __m512i sv = _mm512_loadu_si512(src);
-        for (std::size_t s = 0; s < n; ++s, dst += 8)
+    if (8 % pw == 0) {
+        // Slices that divide a vector (a cache line): one contiguous
+        // sweep against the repeated row.
+        const __m512i sv = broadcastRowAvx512(src, pw);
+        const std::size_t total = n * pw;
+        std::size_t j = 0;
+        for (; j + 8 <= total; j += 8)
             _mm512_storeu_si512(
-                dst, _mm512_xor_si512(_mm512_loadu_si512(dst), sv));
+                dst + j,
+                _mm512_xor_si512(_mm512_loadu_si512(dst + j), sv));
+        if (j < total) {
+            const __mmask8 k = tailMask(total - j);
+            _mm512_mask_storeu_epi64(
+                dst + j, k,
+                _mm512_xor_si512(_mm512_maskz_loadu_epi64(k, dst + j),
+                                 sv));
+        }
         return;
     }
     for (std::size_t s = 0; s < n; ++s, dst += pw)
@@ -604,15 +730,29 @@ diffOrBlockAvx512(std::uint64_t *dev, const std::uint64_t *a,
                   const std::uint64_t *b, std::size_t pw,
                   std::size_t n, std::uint64_t *anyOut)
 {
-    if (pw == 8) {
-        const __m512i bv = _mm512_loadu_si512(b);
-        for (std::size_t s = 0; s < n; ++s, dev += 8, a += 8) {
-            const __m512i d =
-                _mm512_xor_si512(_mm512_loadu_si512(a), bv);
+    if (8 % pw == 0) {
+        // Slices that divide a vector: 8 / pw slices per step against
+        // the repeated row; the lane mask of the diffs gives their
+        // flags.
+        const __m512i bv = broadcastRowAvx512(b, pw);
+        const std::size_t per = 8 / pw;
+        std::size_t s = 0;
+        for (; s + per <= n; s += per, a += 8, dev += 8) {
+            const __m512i d = _mm512_xor_si512(_mm512_loadu_si512(a), bv);
             _mm512_storeu_si512(
                 dev, _mm512_or_si512(_mm512_loadu_si512(dev), d));
-            anyOut[s] = static_cast<std::uint64_t>(
-                _mm512_reduce_or_epi64(d));
+            flagsFromLanes(_mm512_test_epi64_mask(d, d), pw, per,
+                           anyOut + s);
+        }
+        if (s < n) {
+            const __mmask8 k = tailMask((n - s) * pw);
+            const __m512i d =
+                _mm512_xor_si512(_mm512_maskz_loadu_epi64(k, a), bv);
+            _mm512_mask_storeu_epi64(
+                dev, k,
+                _mm512_or_si512(_mm512_maskz_loadu_epi64(k, dev), d));
+            flagsFromLanes(_mm512_mask_test_epi64_mask(k, d, d), pw,
+                           n - s, anyOut + s);
         }
         return;
     }
@@ -641,14 +781,9 @@ Tier
 initialTier()
 {
     if (const char *env = std::getenv("QRAMSIM_SIMD")) {
-        if (std::strcmp(env, "scalar") == 0)
-            return Tier::Scalar;
-        if (std::strcmp(env, "avx2") == 0 &&
-            tierSupported(Tier::Avx2))
-            return Tier::Avx2;
-        if (std::strcmp(env, "avx512") == 0 &&
-            tierSupported(Tier::Avx512))
-            return Tier::Avx512;
+        Tier t = Tier::Scalar;
+        if (parseTier(env, t) && tierSupported(t))
+            return t;
         warn("QRAMSIM_SIMD='", env,
              "' unknown or unsupported on this CPU; using ",
              tierName(detectBestTier()));
@@ -674,6 +809,18 @@ tierName(Tier t)
       case Tier::Avx512: return "avx512";
     }
     return "?";
+}
+
+bool
+parseTier(const char *name, Tier &out)
+{
+    for (Tier t : {Tier::Scalar, Tier::Avx2, Tier::Avx512}) {
+        if (std::strcmp(name, tierName(t)) == 0) {
+            out = t;
+            return true;
+        }
+    }
+    return false;
 }
 
 bool

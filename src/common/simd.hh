@@ -19,11 +19,16 @@
  * by construction; tests/test_block_replay.cc enforces it against a
  * plain reference loop, and tests/test_simd.cc on full circuits.
  *
- * Rows handed to the kernels are expected to be 64-byte aligned with
- * a word stride that is a multiple of kRowAlignWords (PathEnsemble
- * pads its rows accordingly); the kernels use unaligned loads so
- * arbitrary buffers remain legal (tests, tail cases), but the aligned
- * layout keeps every vector step within one cache line.
+ * Rows are dense: a shot's row is its data words, ceil(paths / 64),
+ * with no padding (a 256-path row is 4 words). The kernels use
+ * unaligned loads, and masked or scalar tails, so any word count and
+ * any buffer is legal. EnsembleBlock pads only the end of each block
+ * row to kRowAlignWords, so the fire sweeps over block rows run whole
+ * vector steps from a cache-line boundary. The row-flip and deviation
+ * kernels sweep slices whose width divides a vector (1, 2 and 4
+ * words, and 8 under AVX-512) as one contiguous run against the
+ * shared row repeated across the vector, instead of one short step
+ * per slice.
  */
 
 #ifndef QRAMSIM_COMMON_SIMD_HH
@@ -55,7 +60,7 @@ namespace simd {
 /** Row alignment in bytes: one cache line == one AVX-512 vector. */
 inline constexpr std::size_t kRowAlign = 64;
 
-/** Row stride granularity in 64-bit words. */
+/** Block-row stride granularity in 64-bit words. */
 inline constexpr std::size_t kRowAlignWords = kRowAlign / 8;
 
 /** Minimal 64-byte-aligning allocator for the packed row storage. */
@@ -100,10 +105,13 @@ enum class Tier : std::uint8_t { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 /** Lowercase tier name ("scalar", "avx2", "avx512"). */
 const char *tierName(Tier t);
 
+/** The tier @p name names (a tierName spelling); false if none. */
+bool parseTier(const char *name, Tier &out);
+
 /**
  * The kernel ABI: four sweeps over the fused EnsembleBlock arena
  * (common/pathensemble.hh). A qubit's "block row" concatenates every
- * batched shot's padded word-row back to back, so one contiguous
+ * batched shot's dense word-row back to back, so one contiguous
  * sweep applies one op to all shots at once; a single row is the
  * one-shot case. Control rows are addressed as @p rows +
  * ctrls[c].qubit * @p stride, and the fire mask of word w is
@@ -114,11 +122,11 @@ const char *tierName(Tier t);
  * for shots that have joined the replay, all-zero slices for shots
  * that have not — which keeps shots entering at different checkpoints
  * exact (an op can never touch a slice whose shot has not reached it)
- * and carries the tail/padding zeros, so no kernel ever flips an
- * invalid path bit. Block rows keep the PathEnsemble guarantees
- * (64-byte-aligned slices, word counts that are multiples of
- * kRowAlignWords), so these kernels run whole vector steps with no
- * scalar tail.
+ * and carries the tail and pad zeros, so no kernel ever flips an
+ * invalid path bit. Block rows start on a cache line and hold a
+ * multiple of kRowAlignWords words, so the fire kernels run whole
+ * vector steps over them; a one-shot arena's row of fewer words ends
+ * in a masked (AVX-512) or scalar tail.
  */
 struct RowKernels
 {
@@ -136,9 +144,10 @@ struct RowKernels
 
     /**
      * Broadcast row flip: dst[s*pw + w] ^= src[w] for every shot slice
-     * s in [0, n), w in [0, pw). The X-error whole-row flip (src = the
-     * shot valid mask, n = 1 for a single shot's slice) and the
-     * Z-parity snapshot reduction of the estimator (n = 1); src stays
+     * s in [0, n), w in [0, pw). The Pauli events of the replay (X and
+     * Y flip a slice with src = the shot valid mask; Z and Y XOR a
+     * slice into the shot's sign row), and the Z-parity snapshot
+     * reduction of the estimator, all with n = 1. src stays
      * register-resident across slices.
      */
     void (*xorRowBlock)(std::uint64_t *dst, const std::uint64_t *src,
@@ -146,9 +155,10 @@ struct RowKernels
 
     /**
      * Per-slice deviation accumulate against one shared row:
-     * dev[s*pw + w] |= a[s*pw + w] ^ b[w], and anyOut[s] = OR of slice
-     * s's diff words — comparing every batched shot's row of one
-     * qubit against the single ideal row in one sweep.
+     * dev[s*pw + w] |= a[s*pw + w] ^ b[w], and anyOut[s] = 1 if any
+     * of slice s's diff words is nonzero, else 0 — comparing every
+     * batched shot's row of one qubit against the single ideal row in
+     * one sweep.
      */
     void (*diffOrBlock)(std::uint64_t *dev, const std::uint64_t *a,
                         const std::uint64_t *b, std::size_t pw,

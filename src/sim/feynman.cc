@@ -306,55 +306,50 @@ FeynmanExecutor::runSpan(PathState &path, std::uint32_t from,
 namespace {
 
 /**
- * Apply one error event to one shot's row slice and phase
- * accumulators, so the Pauli arithmetic (the bit-identity contract)
- * lives in exactly one place. Per-path arithmetic is identical (value
- * and order) to applyErrorWords on each path: sign flips for the
- * paths whose bit is set, then the bit flip / global i. Bit flips are
- * whole-row XORs of the valid mask (the broadcast block kernel, one
- * slice); phase walks only visit data words — padding words are zero
- * by invariant, so they can never contribute a set bit.
+ * Apply one error event to one shot's row slice and Pauli frame, so
+ * the Pauli bit arithmetic (the bit-identity contract) lives in
+ * exactly one place. Every event is a few row XORs (the broadcast
+ * block kernel, one slice of @p dw words), never a walk over paths:
+ *
+ * - X flips the slice (XOR of the valid mask).
+ * - Z XORs the slice into the shot's sign row: the paths whose bit
+ *   is set owe their phase one negation.
+ * - Y = i X Z does the same in that order (sign from Z on |1>, then
+ *   the flip) and adds one to the shot's quarter-turn count: every
+ *   path owes one factor of i.
+ *
+ * foldFrame settles the debt once, at the end of the replay. That is
+ * exact. Negation and multiplication by i = (0, 1) are exact in IEEE
+ * arithmetic, except for the sign of a zero component. Both commute
+ * exactly with the Z, S, T and Tdg products of the ops in between:
+ * round-to-nearest is symmetric (round(-x) = -round(x)) and each
+ * component of a complex product is one add of two rounded products,
+ * so negating or rotating an operand negates or swaps those rounded
+ * terms and the add rounds the same. This needs the products to be
+ * computed as written, not contracted into FMAs (the library builds
+ * with -ffp-contract=off). So every phase ends equal, as a value, to
+ * the scalar engine's event-by-event arithmetic (runSpan /
+ * applyErrorWords); a zero component may differ in its sign, which
+ * no norm, and no sum of norms, can see.
  */
 void
 applyErrorRows(const FlatEvent &e, std::uint64_t *r,
-               const std::uint64_t *vmask, std::size_t pw,
-               std::size_t dw, std::complex<double> *ph,
-               std::size_t np, const simd::RowKernels &K)
+               const std::uint64_t *vmask, std::size_t dw,
+               std::uint64_t *sign, std::uint32_t &turns,
+               const simd::RowKernels &K)
 {
     switch (e.pauli) {
       case PauliKind::X:
-        K.xorRowBlock(r, vmask, pw, 1);
+        K.xorRowBlock(r, vmask, dw, 1);
         break;
       case PauliKind::Z:
-        for (std::size_t w = 0; w < dw; ++w) {
-            std::uint64_t m = r[w];
-            while (m) {
-                const std::size_t k =
-                    w * 64 +
-                    static_cast<std::size_t>(__builtin_ctzll(m));
-                m &= m - 1;
-                ph[k] = -ph[k];
-            }
-        }
+        K.xorRowBlock(sign, r, dw, 1);
         break;
-      case PauliKind::Y: {
-        // Y = i X Z: sign from Z on |1>, then flip, global i.
-        for (std::size_t w = 0; w < dw; ++w) {
-            std::uint64_t m = r[w];
-            while (m) {
-                const std::size_t k =
-                    w * 64 +
-                    static_cast<std::size_t>(__builtin_ctzll(m));
-                m &= m - 1;
-                ph[k] = -ph[k];
-            }
-        }
-        K.xorRowBlock(r, vmask, pw, 1);
-        const std::complex<double> im(0.0, 1.0);
-        for (std::size_t k = 0; k < np; ++k)
-            ph[k] *= im;
+      case PauliKind::Y:
+        K.xorRowBlock(sign, r, dw, 1);
+        K.xorRowBlock(r, vmask, dw, 1);
+        ++turns;
         break;
-      }
     }
 }
 
@@ -380,9 +375,9 @@ blockFireMask(const std::uint64_t *rows, std::size_t stride,
 // view), which share the row/mask/phase accessors it uses.
 
 /**
- * applyErrorRows on shot @p s's slice of the arena. Uses the
- * valid-mask template — not the join mask — so tail events of shots
- * that never join the op loop (from == to) still apply.
+ * applyErrorRows on shot @p s's slice and frame of the arena. Uses
+ * the valid-mask template — not the join mask — so tail events of
+ * shots that never join the op loop (from == to) still apply.
  */
 template <class Arena>
 inline void
@@ -390,8 +385,37 @@ applyErrorBlock(const FlatEvent &e, Arena &blk, std::size_t s,
                 const simd::RowKernels &K)
 {
     applyErrorRows(e, blk.row(e.qubit, s), blk.validMask(),
-                   blk.wordsPerQubit(), blk.dataWords(),
-                   blk.phaseSlice(s), blk.numPaths(), K);
+                   blk.wordsPerQubit(), blk.signRow(s),
+                   blk.quarterTurns(s), K);
+}
+
+/**
+ * Settle shot @p s's Pauli frame into its phases and clear it:
+ * negate the phases whose sign bit is set, then multiply every phase
+ * by i once per pending quarter turn (mod 4), with the scalar
+ * engine's complex multiply. applyErrorRows gives the exactness
+ * argument.
+ */
+template <class Arena>
+inline void
+foldFrame(Arena &blk, std::size_t s)
+{
+    std::uint64_t *sign = blk.signRow(s);
+    std::complex<double> *ph = blk.phaseSlice(s);
+    for (std::size_t w = 0; w < blk.wordsPerQubit(); ++w) {
+        for (std::uint64_t m = sign[w]; m; m &= m - 1) {
+            const std::size_t k =
+                w * 64 + static_cast<std::size_t>(__builtin_ctzll(m));
+            ph[k] = -ph[k];
+        }
+        sign[w] = 0;
+    }
+    std::uint32_t &turns = blk.quarterTurns(s);
+    const std::complex<double> im(0.0, 1.0);
+    for (std::uint32_t t = 0; t < (turns & 3); ++t)
+        for (std::size_t k = 0; k < blk.numPaths(); ++k)
+            ph[k] *= im;
+    turns = 0;
 }
 
 /**
@@ -408,8 +432,7 @@ applyOpBlock(CompiledStream::Op op, std::uint32_t q0, std::uint32_t q1,
              const simd::RowKernels &K)
 {
     const std::size_t rw = blk.rowWords();
-    const std::size_t pw = blk.wordsPerQubit();
-    const std::size_t dw = blk.dataWords();
+    const std::size_t dw = blk.wordsPerQubit();
     std::uint64_t *rows = blk.rowData();
     const std::uint64_t *bmask = blk.maskRow();
 
@@ -427,9 +450,9 @@ applyOpBlock(CompiledStream::Op op, std::uint32_t q0, std::uint32_t q1,
         const std::uint64_t *t = rows + std::size_t(q0) * rw;
         for (std::size_t s = 0; s < blk.numShots(); ++s) {
             std::complex<double> *ph = blk.phaseSlice(s);
-            // Fire masks on pad words and unjoined slices are zero.
+            // Fire masks of unjoined slices are zero.
             for (std::size_t ww = 0; ww < dw; ++ww) {
-                const std::size_t w = s * pw + ww;
+                const std::size_t w = s * dw + ww;
                 std::uint64_t m =
                     t[w] & blockFireMask(rows, rw, bmask, ec, nc, w);
                 while (m) {
@@ -457,7 +480,7 @@ applyOpBlock(CompiledStream::Op op, std::uint32_t q0, std::uint32_t q1,
         for (std::size_t s = 0; s < blk.numShots(); ++s) {
             std::complex<double> *ph = blk.phaseSlice(s);
             for (std::size_t ww = 0; ww < dw; ++ww) {
-                const std::size_t w = s * pw + ww;
+                const std::size_t w = s * dw + ww;
                 std::uint64_t m =
                     t[w] & blockFireMask(rows, rw, bmask, ec, nc, w);
                 while (m) {
@@ -478,6 +501,23 @@ applyOpBlock(CompiledStream::Op op, std::uint32_t q0, std::uint32_t q1,
     }
 }
 
+/** Apply stream ops [from, to) to every joined shot of the arena. */
+template <class Arena>
+inline void
+runOps(const CompiledStream &cs, Arena &blk, std::uint32_t from,
+       std::uint32_t to, const simd::RowKernels &K)
+{
+    const std::uint8_t *kind = cs.kind.data();
+    const std::uint32_t *tq0 = cs.tq0.data();
+    const std::uint32_t *tq1 = cs.tq1.data();
+    const std::uint32_t *ectrlBegin = cs.ectrlBegin.data();
+    const EnsembleCtrl *ectrl = cs.ectrl.data();
+    for (std::uint32_t i = from; i < to; ++i)
+        applyOpBlock(static_cast<CompiledStream::Op>(kind[i]), tq0[i],
+                     tq1[i], ectrl + ectrlBegin[i],
+                     ectrlBegin[i + 1] - ectrlBegin[i], blk, K);
+}
+
 /** The op-major replay loop (see runSpanEnsembleBlock). */
 template <class Arena>
 void
@@ -486,19 +526,18 @@ replayArena(const CompiledStream &cs, Arena &blk,
 {
     const simd::RowKernels &K = simd::activeKernels();
     const std::size_t n = blk.numShots();
+    // next[b]: the position where shot b needs bookkeeping again (its
+    // join, then each event position; `to` once nothing is left), so
+    // a stop costs one compare per shot, not a look into its events.
+    std::uint32_t *next = blk.nextStops();
     std::uint32_t i = to;
     for (std::size_t b = 0; b < n; ++b) {
         QRAMSIM_ASSERT(shots[b].from <= to,
                        "replay shot starts beyond span end");
         shots[b].ev = 0;
+        next[b] = shots[b].from;
         i = std::min(i, shots[b].from);
     }
-
-    const std::uint8_t *kind = cs.kind.data();
-    const std::uint32_t *tq0 = cs.tq0.data();
-    const std::uint32_t *tq1 = cs.tq1.data();
-    const std::uint32_t *ectrlBegin = cs.ectrlBegin.data();
-    const EnsembleCtrl *ectrl = cs.ectrl.data();
 
     while (i < to) {
         // Join shots whose span starts here, fire events due at or
@@ -509,26 +548,23 @@ replayArena(const CompiledStream &cs, Arena &blk,
         // every stop position is > i and the loop advances.
         std::uint32_t stop = to;
         for (std::size_t b = 0; b < n; ++b) {
-            FeynmanExecutor::BlockReplayShot &s = shots[b];
-            if (s.from > i) {
-                stop = std::min(stop, s.from);
-                continue;
+            if (next[b] <= i) {
+                FeynmanExecutor::BlockReplayShot &s = shots[b];
+                blk.join(b);
+                while (s.ev < s.numEvents && s.events[s.ev].pos <= i)
+                    applyErrorBlock(s.events[s.ev++], blk, b, K);
+                next[b] = s.ev < s.numEvents
+                              ? std::min(s.events[s.ev].pos, to)
+                              : to;
             }
-            blk.join(b);
-            while (s.ev < s.numEvents && s.events[s.ev].pos <= i)
-                applyErrorBlock(s.events[s.ev++], blk, b, K);
-            if (s.ev < s.numEvents)
-                stop = std::min(stop, s.events[s.ev].pos);
+            stop = std::min(stop, next[b]);
         }
 
         // Op-major run: every op between here and the next stop is
         // decoded once and applied to all joined shots' rows with one
         // block-kernel sweep — no per-shot work at all.
-        for (; i < stop; ++i) {
-            const auto op = static_cast<CompiledStream::Op>(kind[i]);
-            applyOpBlock(op, tq0[i], tq1[i], ectrl + ectrlBegin[i],
-                         ectrlBegin[i + 1] - ectrlBegin[i], blk, K);
-        }
+        runOps(cs, blk, i, stop, K);
+        i = stop;
     }
 
     for (std::size_t b = 0; b < n; ++b) {
@@ -538,6 +574,7 @@ replayArena(const CompiledStream &cs, Arena &blk,
                            "error event beyond replay span");
             applyErrorBlock(s.events[s.ev++], blk, b, K);
         }
+        foldFrame(blk, b);
     }
 }
 
@@ -561,6 +598,12 @@ FeynmanExecutor::runSpanEnsemble(PathEnsemble &ens, std::uint32_t from,
 {
     QRAMSIM_ASSERT(ens.numQubits() == circ.numQubits(),
                    "ensemble width mismatch");
+    if (numEvents == 0) {
+        // The constructor's op-by-op sweep: no joins, stops or frame.
+        QRAMSIM_ASSERT(from <= to, "replay span reversed");
+        runOps(cs, ens, from, to, simd::activeKernels());
+        return;
+    }
     BlockReplayShot shot{events, numEvents, from};
     replayArena(cs, ens, &shot, to);
 }

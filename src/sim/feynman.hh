@@ -260,10 +260,14 @@ class FeynmanExecutor
     /// layout: each op evaluates its controls into a 64-path fire mask
     /// per row word and applies target updates word-wide (through the
     /// runtime-dispatched block kernels of common/simd.hh), and every
-    /// error event becomes a whole-row operation. One op-major loop
-    /// serves both entries below; it is bit-identical (bits and
-    /// phases) to running the scalar engine path by path: each path
-    /// sees the identical ordered sequence of flips and phase factors.
+    /// error event becomes a few whole-row XORs: bit flips on the
+    /// shot's rows, and signs and factors of i on the shot's Pauli
+    /// frame, which the replay folds into the phases once at its end.
+    /// One op-major loop serves both entries below; it is
+    /// bit-identical (bits and phase values) to running the scalar
+    /// engine path by path: each path sees the identical ordered
+    /// sequence of flips and gate phase factors, and the event signs
+    /// and factors of i commute exactly with those factors.
     /// @{
 
     /**
@@ -291,7 +295,9 @@ class FeynmanExecutor
      * (their mask slices open right before their first op) and their
      * events fire at their own positions, so results are
      * bit-identical shot by shot to runSpan path by path at every
-     * batch width.
+     * batch width. Event signs and factors of i wait in the arena's
+     * Pauli frame (EnsembleBlock::signRow, quarterTurns) and reach
+     * the phases at the end of the call, which leaves the frame clear.
      */
     void runSpanEnsembleBlock(EnsembleBlock &blk,
                               BlockReplayShot *shots,
@@ -301,7 +307,9 @@ class FeynmanExecutor
      * The same loop over one ensemble in place: advance @p ens
      * through stream positions [from, to), firing @p events[0,
      * numEvents) at their positions (all positions must lie in
-     * [from, to]). The estimator's checkpoint builder.
+     * [from, to]). The estimator's checkpoint builder, which calls it
+     * once per op with no events: such a call is the bare op loop,
+     * with no join, stop scan or frame fold.
      */
     void runSpanEnsemble(PathEnsemble &ens, std::uint32_t from,
                          std::uint32_t to, const FlatEvent *events,

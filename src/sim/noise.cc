@@ -102,7 +102,14 @@ walkEvents(const SampleSites &ss, const SampleSites::Rows &rows,
                 at = run.end;
                 continue;
             }
-            at += static_cast<std::uint32_t>(skip);
+            // A zero-rate run's hazard is -0 (-logNoEvent(0, 1)), so
+            // its skip is -inf. Default x86-64 code converts that to
+            // 0, so the walk visits each of the run's sites, where
+            // nothing can fire, and results carry that stream.
+            // Clamping at 0 keeps it, and defined, where the
+            // conversion differs (AVX-512's vcvttsd2usi gives
+            // 0xFFFFFFFF).
+            at += skip > 0.0 ? static_cast<std::uint32_t>(skip) : 0;
             resolveSite(rows, ss.sites[at++], rng.uniform() * run.span,
                         outs);
             e = rng.exponential();

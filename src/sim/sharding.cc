@@ -53,13 +53,7 @@ applyShardPins(FidelityEstimator &, const ShardSpec &spec)
 {
     if (!spec.simdTier.empty()) {
         simd::Tier t = simd::Tier::Scalar;
-        if (spec.simdTier == "scalar")
-            t = simd::Tier::Scalar;
-        else if (spec.simdTier == "avx2")
-            t = simd::Tier::Avx2;
-        else if (spec.simdTier == "avx512")
-            t = simd::Tier::Avx512;
-        else
+        if (!simd::parseTier(spec.simdTier.c_str(), t))
             QRAMSIM_PANIC("unknown SIMD tier pin '", spec.simdTier,
                           "'");
         simd::setActiveTier(t);

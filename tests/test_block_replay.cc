@@ -11,8 +11,9 @@
  * [1, 64], across architectures, noise kinds, SIMD tiers, checkpoint
  * joins, ragged tail batches, degenerate inputs and the threaded shot
  * loop. Plus the EnsembleBlock layout invariants the block kernels
- * assume and kernel-level differentials of every tier's block
- * kernels against plain reference loops.
+ * assume (dense slices, aligned block rows, zero tails and pads) and
+ * kernel-level differentials of every tier's block kernels against
+ * plain reference loops at slice widths 1-8, 16 and 24.
  */
 
 #include <gtest/gtest.h>
@@ -79,50 +80,78 @@ TEST(EnsembleBlock, LayoutAlignmentAndMaskLifecycle)
     EnsembleBlock blk;
     for (std::size_t np : {std::size_t(1), std::size_t(63),
                            std::size_t(64), std::size_t(65),
-                           std::size_t(200)}) {
+                           std::size_t(200), std::size_t(256),
+                           std::size_t(512)}) {
         for (std::size_t ns : {std::size_t(1), std::size_t(3),
                                std::size_t(16)}) {
             SCOPED_TRACE(testing::Message()
                          << "np=" << np << " ns=" << ns);
+            // Reshape from a wider shape first, so stale words from
+            // an earlier batch are in the storage.
+            blk.reshape(7, 700, 5);
+            for (std::size_t q = 0; q < 7; ++q)
+                std::fill(blk.blockRow(q),
+                          blk.blockRow(q) + blk.rowWords(),
+                          ~std::uint64_t(0));
             blk.reshape(7, np, ns);
             EXPECT_EQ(blk.numQubits(), 7u);
             EXPECT_EQ(blk.numPaths(), np);
             EXPECT_EQ(blk.numShots(), ns);
-            EXPECT_EQ(blk.dataWords(), (np + 63) / 64);
-            EXPECT_EQ(blk.wordsPerQubit() % simd::kRowAlignWords, 0u);
-            EXPECT_GE(blk.wordsPerQubit(), blk.dataWords());
-            EXPECT_EQ(blk.rowWords(), ns * blk.wordsPerQubit());
 
-            // Every shot slice of every block row is cache-line
-            // aligned (what the block kernels' vector steps assume).
-            for (std::size_t q = 0; q < 7; ++q)
-                for (std::size_t s = 0; s < ns; ++s)
-                    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
-                                  blk.row(q, s)) %
-                                  simd::kRowAlign,
-                              0u);
+            // Slices are dense: the slice stride is the data words,
+            // the PathEnsemble row stride, with no padding between
+            // the shots of a block row.
+            const std::size_t dw = (np + 63) / 64;
+            EXPECT_EQ(blk.dataWords(), dw);
+            EXPECT_EQ(blk.wordsPerQubit(), dw);
+            EXPECT_EQ(PathEnsemble(7, np).wordsPerQubit(), dw);
+            for (std::size_t s = 0; s < ns; ++s)
+                EXPECT_EQ(blk.row(3, s), blk.blockRow(3) + s * dw);
+
+            // Block rows are padded as a whole: rowWords() is the
+            // slices rounded up to kRowAlignWords, and every block
+            // row starts on a cache line.
+            EXPECT_EQ(blk.rowWords() % simd::kRowAlignWords, 0u);
+            EXPECT_GE(blk.rowWords(), ns * dw);
+            EXPECT_LT(blk.rowWords(), ns * dw + simd::kRowAlignWords);
             EXPECT_EQ(blk.row(0, 0), blk.blockRow(0));
-            EXPECT_EQ(blk.row(1, 0),
-                      blk.blockRow(0) + blk.rowWords());
+            for (std::size_t q = 0; q < 7; ++q) {
+                EXPECT_EQ(blk.blockRow(q),
+                          blk.blockRow(0) + q * blk.rowWords());
+                EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
+                              blk.blockRow(q)) %
+                              simd::kRowAlign,
+                          0u);
+                // The pad after the slices is zero, whatever the
+                // storage held before.
+                for (std::size_t j = ns * dw; j < blk.rowWords(); ++j)
+                    EXPECT_EQ(blk.blockRow(q)[j], 0u);
+            }
 
-            // The valid-mask template matches a PathEnsemble's and
-            // reshape clears every join: the mask row is all zero
-            // until join(s) opens exactly that shot's slice.
+            // The valid-mask template matches a PathEnsemble's (tail
+            // bits zero) and reshape clears every join and the Pauli
+            // frame: the mask row is all zero until join(s) opens
+            // exactly that shot's slice.
             PathEnsemble ref(7, np);
-            for (std::size_t w = 0; w < blk.wordsPerQubit(); ++w)
+            for (std::size_t w = 0; w < dw; ++w)
                 EXPECT_EQ(blk.validMask()[w], ref.validMask(w));
             for (std::size_t j = 0; j < blk.rowWords(); ++j)
                 EXPECT_EQ(blk.maskRow()[j], 0u);
-            for (std::size_t s = 0; s < ns; ++s)
+            for (std::size_t s = 0; s < ns; ++s) {
                 EXPECT_FALSE(blk.joined(s));
-            const std::size_t pw = blk.wordsPerQubit();
+                EXPECT_EQ(blk.quarterTurns(s), 0u);
+                for (std::size_t w = 0; w < dw; ++w)
+                    EXPECT_EQ(blk.signRow(s)[w], 0u);
+            }
             const std::size_t joinShot = ns / 2;
             blk.join(joinShot);
             EXPECT_TRUE(blk.joined(joinShot));
             for (std::size_t s = 0; s < ns; ++s)
-                for (std::size_t w = 0; w < pw; ++w)
-                    EXPECT_EQ(blk.maskRow()[s * pw + w],
+                for (std::size_t w = 0; w < dw; ++w)
+                    EXPECT_EQ(blk.maskRow()[s * dw + w],
                               s == joinShot ? ref.validMask(w) : 0u);
+            for (std::size_t j = ns * dw; j < blk.rowWords(); ++j)
+                EXPECT_EQ(blk.maskRow()[j], 0u);
         }
     }
 }
@@ -178,14 +207,18 @@ TEST(BlockKernels, MatchScalarReferenceAcrossTiers)
         SCOPED_TRACE(simd::tierName(tier));
         const simd::RowKernels &K = simd::kernels(tier);
 
-        for (int trial = 0; trial < 120; ++trial) {
-            // Arena shapes: pw a multiple of kRowAlignWords (the
-            // EnsembleBlock contract), 1..6 shots, 5 block rows. pw of
-            // 16 and 24 take the per-row fallback of the row-flip and
-            // deviation kernels; 8 takes their one-line fast path.
-            const std::size_t pw =
-                simd::kRowAlignWords * (1 + rng.below(3));
-            const std::size_t ns = 1 + rng.below(6);
+        for (int trial = 0; trial < 600; ++trial) {
+            // Arena shapes: dense slices of 1..8 words (narrower than
+            // a vector takes the repeated-row sweep of the row-flip
+            // and deviation kernels, 8 their one-line fast path), or
+            // 16 and 24 (the per-slice fallback); 1..20 shots, so the
+            // narrow sweep runs several chunks with a ragged last
+            // one; 5 block rows, whose word counts need not fill a
+            // vector (the fire kernels' tails).
+            const std::size_t widths[] = {1, 2, 3, 4, 5,  6,
+                                          7, 8, 16, 24};
+            const std::size_t pw = widths[trial % 10];
+            const std::size_t ns = 1 + rng.below(20);
             const std::size_t nw = ns * pw;
             const std::size_t nrows = 5;
             simd::AlignedWords rows(nrows * nw);
@@ -246,18 +279,31 @@ TEST(BlockKernels, MatchScalarReferenceAcrossTiers)
             EXPECT_EQ(a, b);
 
             // diffOrBlock: per-slice deviation against one shared row,
-            // including the per-shot OR of the diffs.
+            // including the per-shot any-diff flag. Some slices equal
+            // the shared row but for one word (or not at all), so
+            // every flag position is exercised both ways.
             simd::AlignedWords devA(nw), devB(nw);
             for (std::size_t w = 0; w < nw; ++w)
                 devA[w] = devB[w] = rng.bits();
-            std::vector<std::uint64_t> anyA(ns, 0), anyB(ns);
-            for (std::size_t w = 0; w < nw; ++w) {
-                const std::uint64_t d = rows[w] ^ src[w % pw];
-                devA[w] |= d;
-                anyA[w / pw] |= d;
+            simd::AlignedWords cur = rows;
+            for (std::size_t sl = 0; sl < ns; ++sl) {
+                if (rng.below(3) != 0)
+                    continue;
+                for (std::size_t w = 0; w < pw; ++w)
+                    cur[sl * pw + w] = src[w];
+                if (rng.bernoulli(0.5))
+                    cur[sl * pw + rng.below(pw)] ^=
+                        std::uint64_t(1) << rng.below(64);
             }
-            K.diffOrBlock(devB.data(), rows.data(), src.data(), pw,
-                          ns, anyB.data());
+            std::vector<std::uint64_t> anyA(ns, 0), anyB(ns, 7);
+            for (std::size_t w = 0; w < nw; ++w) {
+                const std::uint64_t d = cur[w] ^ src[w % pw];
+                devA[w] |= d;
+                if (d)
+                    anyA[w / pw] = 1;
+            }
+            K.diffOrBlock(devB.data(), cur.data(), src.data(), pw, ns,
+                          anyB.data());
             EXPECT_EQ(devA, devB);
             EXPECT_EQ(anyA, anyB);
 
@@ -323,10 +369,14 @@ expectBlockMatchesPerShot(const FeynmanExecutor &exec,
             EXPECT_EQ(got, p.bits) << "path " << k;
             EXPECT_EQ(blk.phaseSlice(b)[k], p.phase) << "path " << k;
         }
-        // Zero-tail invariant holds through the block replay.
+        // Zero-tail invariant holds through the block replay, and the
+        // Pauli frame is settled: no sign bit or quarter turn is left.
         for (std::size_t q = 0; q < nq; ++q)
             for (std::size_t w = 0; w < blk.wordsPerQubit(); ++w)
                 EXPECT_EQ(blk.row(q, b)[w] & ~blk.validMask()[w], 0u);
+        for (std::size_t w = 0; w < blk.wordsPerQubit(); ++w)
+            EXPECT_EQ(blk.signRow(b)[w], 0u);
+        EXPECT_EQ(blk.quarterTurns(b), 0u);
     }
 }
 
@@ -384,6 +434,113 @@ TEST(BlockReplay, MixedJoinsAndEventsMatchPerShotReplay)
             expectBlockMatchesPerShot(exec, froms, evs, 65, rng);
         }
     }
+}
+
+/**
+ * Random basis-preserving Clifford+T circuit: the diagonal gates (S, T,
+ * Tdg, CZ) put non-trivial phases on paths for the Pauli frame to
+ * commute through, and X, CX and CSWAP move bits between them.
+ */
+Circuit
+randomPhaseCircuit(std::size_t n, std::size_t gates, Rng &rng)
+{
+    Circuit c;
+    auto q = c.allocRegister(n, "q");
+    auto pick = [&]() { return q[rng.below(n)]; };
+    auto other = [&](std::vector<Qubit> used) {
+        Qubit x = pick();
+        while (std::find(used.begin(), used.end(), x) != used.end())
+            x = pick();
+        return x;
+    };
+    for (std::size_t g = 0; g < gates; ++g) {
+        switch (rng.below(7)) {
+          case 0: c.s(pick()); break;
+          case 1: c.t(pick()); break;
+          case 2: c.tdg(pick()); break;
+          case 3: {
+            const Qubit a = pick();
+            c.cz(a, other({a}));
+            break;
+          }
+          case 4: {
+            const Qubit a = pick(), b = other({a});
+            c.cswap(a, b, other({a, b}));
+            break;
+          }
+          case 5: {
+            const Qubit a = pick();
+            c.cx(a, other({a}));
+            break;
+          }
+          default: c.x(pick()); break;
+        }
+    }
+    return c;
+}
+
+TEST(BlockReplay, PauliFrameMatchesPerShotOnCliffordT)
+{
+    // Sign rows and quarter turns settle once, after the gates, yet
+    // every phase must equal runSpan's event-by-event arithmetic.
+    // Y-heavy shots put every quarter-turn count mod 4 in play;
+    // path counts straddle word edges and reach 8-word slices, and
+    // batch widths 1, 3 and 16 give a lone slice, a ragged block row
+    // and a full one.
+    Rng rng(20261020);
+    std::vector<bool> turnsSeen(4, false);
+    for (simd::Tier tier : supportedTiers()) {
+        SCOPED_TRACE(simd::tierName(tier));
+        TierGuard guard(tier);
+        for (std::size_t np : {std::size_t(1), std::size_t(63),
+                               std::size_t(64), std::size_t(65),
+                               std::size_t(200), std::size_t(256),
+                               std::size_t(257), std::size_t(512)}) {
+            const std::size_t nq = 5 + rng.below(5);
+            const Circuit c = randomPhaseCircuit(nq, 60, rng);
+            const FeynmanExecutor exec(c);
+            const std::uint32_t numOps =
+                static_cast<std::uint32_t>(exec.stream().size());
+            for (std::size_t n : {std::size_t(1), std::size_t(3),
+                                  std::size_t(16)}) {
+                SCOPED_TRACE(testing::Message()
+                             << "np=" << np << " n=" << n);
+                std::vector<std::uint32_t> froms;
+                std::vector<std::vector<FlatEvent>> evs;
+                for (std::size_t b = 0; b < n; ++b) {
+                    const std::uint32_t from = static_cast<std::uint32_t>(
+                        rng.below(numOps / 2 + 1));
+                    std::vector<FlatEvent> ev;
+                    const std::size_t ne = rng.below(12);
+                    std::size_t ys = 0;
+                    for (std::size_t e = 0; e < ne; ++e) {
+                        const std::uint64_t u = rng.below(10);
+                        const PauliKind kind =
+                            u < 6 ? PauliKind::Y
+                                  : (u < 8 ? PauliKind::Z : PauliKind::X);
+                        ys += kind == PauliKind::Y;
+                        ev.push_back({from + static_cast<std::uint32_t>(
+                                                 rng.below(numOps - from +
+                                                           1)),
+                                      static_cast<std::uint32_t>(
+                                          rng.below(nq)),
+                                      kind});
+                    }
+                    std::sort(ev.begin(), ev.end(),
+                              [](const FlatEvent &x, const FlatEvent &y) {
+                                  return x.pos < y.pos;
+                              });
+                    turnsSeen[ys & 3] = true;
+                    froms.push_back(from);
+                    evs.push_back(std::move(ev));
+                }
+                expectBlockMatchesPerShot(exec, froms, evs, np, rng);
+            }
+        }
+    }
+    for (std::size_t t = 0; t < 4; ++t)
+        EXPECT_TRUE(turnsSeen[t]) << "no shot had " << t
+                                  << " quarter turns mod 4";
 }
 
 // --- Estimator-level: both engines, all architectures -----------------

@@ -66,20 +66,22 @@ TEST(Ensemble, ValidMaskCoversExactPaths)
 {
     PathEnsemble full(3, 128);
     EXPECT_EQ(full.dataWords(), 2u);
-    EXPECT_EQ(full.wordsPerQubit() % simd::kRowAlignWords, 0u);
+    EXPECT_EQ(full.wordsPerQubit(), 2u); // dense: no padding words
     EXPECT_EQ(full.validMask(0), ~std::uint64_t(0));
     EXPECT_EQ(full.validMask(1), ~std::uint64_t(0));
     PathEnsemble partial(3, 65);
     EXPECT_EQ(partial.dataWords(), 2u);
+    EXPECT_EQ(partial.wordsPerQubit(), 2u);
     EXPECT_EQ(partial.validMask(0), ~std::uint64_t(0));
     EXPECT_EQ(partial.validMask(1), 1u);
-    // Padding words past the data words are never valid, and the
-    // valid-mask row mirrors validMask(w) word for word.
-    for (std::size_t w = partial.dataWords();
-         w < partial.wordsPerQubit(); ++w)
-        EXPECT_EQ(partial.validMask(w), 0u);
+    // Nothing past the row is valid, and the valid-mask row mirrors
+    // validMask(w) word for word.
+    EXPECT_EQ(partial.validMask(partial.wordsPerQubit()), 0u);
     for (std::size_t w = 0; w < partial.wordsPerQubit(); ++w)
         EXPECT_EQ(partial.validMask()[w], partial.validMask(w));
+    // Rows are back to back: row q + 1 starts right after row q's
+    // data words.
+    EXPECT_EQ(partial.row(1), partial.row(0) + partial.dataWords());
 }
 
 // --- Scalar vs ensemble vs reference interpreter ----------------------

@@ -798,6 +798,7 @@ TEST(OrchestratorCli, ShardExitCodesFollowTheContract)
     EXPECT_EQ(shCode(shard + run + " --eps -0.5" + quiet), 2);
     EXPECT_EQ(shCode(shard + run + " --eps 7" + quiet), 2);
     EXPECT_EQ(shCode(shard + run + " --noise gate-zz" + quiet), 2);
+    EXPECT_EQ(shCode(shard + run + " --tier bogus" + quiet), 2);
     // 3: I/O — unwritable output, unreadable merge input.
     EXPECT_EQ(shCode(shard + run + " --out " + dir +
                      "/no/such/dir/x.json" + quiet),
@@ -859,6 +860,19 @@ TEST(OrchestratorCli, ShardExitCodesFollowTheContract)
                      "/nan --workers 2 --shards 2 --worker-bin " +
                      shard + kWorkload + " --factors nan" + quiet),
               2);
+    // So is an unknown SIMD tier pin: the drive exits 2 and never
+    // runs the worker binary (a wrapper that leaves a mark).
+    const std::string wrapper = dir + "/mark_worker.sh";
+    ASSERT_TRUE(atomicWriteFile(wrapper, "#!/bin/sh\ntouch " + dir +
+                                             "/launched\nexec " + shard +
+                                             " \"$@\"\n"));
+    ASSERT_EQ(shCode("chmod +x " + wrapper), 0);
+    EXPECT_EQ(shCode(std::string(QRAMSIM_DRIVE_BIN) + " --job " + dir +
+                     "/tier --workers 2 --shards 2 --worker-bin " +
+                     wrapper + kWorkload + " --tier bogus" + quiet),
+              2);
+    EXPECT_NE(::access((dir + "/launched").c_str(), F_OK), 0)
+        << "a usage error must not launch a worker";
     std::system(("rm -rf " + dir).c_str());
 }
 

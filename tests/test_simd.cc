@@ -2,9 +2,10 @@
  * @file
  * SIMD dispatch tests.
  *
- * The PathEnsemble layout must deliver the alignment/padding contract
- * the kernels assume, and the whole engine — ensemble propagation and
- * the fidelity estimator, batched replay and sweep sampling included —
+ * The PathEnsemble layout must deliver the dense-row, zero-tail
+ * contract the kernels assume, and the whole engine — ensemble
+ * propagation and the fidelity estimator, batched replay and sweep
+ * sampling included —
  * must produce bit-identical results at every tier the host CPU
  * supports. Tiers the CPU lacks are skipped (the scalar tier always
  * runs). Kernel-level differentials live in tests/test_block_replay.cc.
@@ -53,34 +54,47 @@ supportedTiers()
 
 // --- Layout contract --------------------------------------------------
 
-TEST(Simd, PathEnsembleRowsAlignedAndPadded)
+TEST(Simd, PathEnsembleRowsDenseWithZeroTails)
 {
     for (std::size_t np : {std::size_t(1), std::size_t(63),
                            std::size_t(64), std::size_t(65),
                            std::size_t(127), std::size_t(128),
-                           std::size_t(200), std::size_t(513)}) {
+                           std::size_t(200), std::size_t(256),
+                           std::size_t(513)}) {
         SCOPED_TRACE(np);
         PathEnsemble ens(10, np);
+        // Rows are dense: the stride is the data words, no padding.
         EXPECT_EQ(ens.dataWords(), (np + 63) / 64);
-        EXPECT_EQ(ens.wordsPerQubit() % simd::kRowAlignWords, 0u);
-        EXPECT_GE(ens.wordsPerQubit(), ens.dataWords());
+        EXPECT_EQ(ens.wordsPerQubit(), ens.dataWords());
+        EXPECT_EQ(ens.rowWords(), ens.dataWords());
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ens.rowData()) %
+                      simd::kRowAlign,
+                  0u);
         for (std::size_t q = 0; q < ens.numQubits(); ++q)
-            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ens.row(q)) %
-                          simd::kRowAlign,
-                      0u);
-        for (std::size_t w = 0; w < ens.wordsPerQubit(); ++w)
+            EXPECT_EQ(ens.row(q), ens.rowData() + q * ens.dataWords());
+        // The valid-mask row covers exactly the paths: full words,
+        // then the tail word's low bits; nothing past the row.
+        for (std::size_t w = 0; w < ens.wordsPerQubit(); ++w) {
             EXPECT_EQ(ens.validMask()[w], ens.validMask(w));
-        for (std::size_t w = ens.dataWords();
-             w < ens.wordsPerQubit(); ++w)
-            EXPECT_EQ(ens.validMask(w), 0u);
+            EXPECT_EQ(std::size_t(__builtin_popcountll(ens.validMask(w))),
+                      std::min<std::size_t>(64, np - 64 * w));
+        }
+        EXPECT_EQ(ens.validMask(ens.wordsPerQubit()), 0u);
+        // Setting every path of every row leaves the tail bits zero.
+        for (std::size_t q = 0; q < ens.numQubits(); ++q)
+            for (std::size_t k = 0; k < np; ++k)
+                ens.set(q, k, true);
+        for (std::size_t q = 0; q < ens.numQubits(); ++q)
+            for (std::size_t w = 0; w < ens.wordsPerQubit(); ++w)
+                EXPECT_EQ(ens.row(q)[w], ens.validMask(w));
     }
 }
 
 TEST(Simd, TailAndPaddingStayZeroThroughPropagation)
 {
     // Paths not a multiple of 64 leave tail bits in the last data
-    // word and whole padding words; both must stay zero through noisy
-    // ensemble propagation at every tier.
+    // word; they must stay zero through noisy ensemble propagation at
+    // every tier.
     Rng rng(4242);
     Memory mem = Memory::random(3, rng);
     QueryCircuit qc = BucketBrigadeQram(3).build(mem);

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/env.hh"
+#include "common/simd.hh"
 #include "qram/baselines.hh"
 #include "qram/bucket_brigade.hh"
 #include "qram/compact.hh"
@@ -344,6 +345,14 @@ parseRunFlags(int argc, char **argv, RunOptions &opt)
             const char *v = value();
             if (!v)
                 return false;
+            simd::Tier t = simd::Tier::Scalar;
+            if (!simd::parseTier(v, t)) {
+                std::fprintf(stderr,
+                             "unknown --tier '%s' (want scalar, avx2 "
+                             "or avx512)\n",
+                             v);
+                return false;
+            }
             opt.tier = v;
         } else if (flag == "--out") {
             const char *v = value();
